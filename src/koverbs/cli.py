@@ -34,24 +34,16 @@ def _add_common_options(parser, suppress=False, paths=True):
     """Attach the shared options. They live on the top-level parser and
     again on each subparser (with SUPPRESS defaults, so a subparser never
     overwrites a value that was given before the subcommand)."""
-    absent = argparse.SUPPRESS
+    absent = argparse.SUPPRESS if suppress else None
     parser.add_argument("--format", choices=("table", "json", "tsv"),
-                        default=absent if suppress else "table",
+                        default=argparse.SUPPRESS if suppress else "table",
                         help="output format (default: table)")
-    parser.add_argument("--data-dir", metavar="DIR",
-                        default=absent if suppress else None,
+    parser.add_argument("--data-dir", metavar="DIR", default=absent,
                         help=f"directory with the data TSVs (default: ${DATA_ENV} "
                              "or the installed sample data)")
-    if paths:
-        parser.add_argument("--endings", metavar="PATH",
-                            default=absent if suppress else None,
-                            help="endings file override")
-        parser.add_argument("--verbs", metavar="PATH",
-                            default=absent if suppress else None,
-                            help="verbs file override")
-        parser.add_argument("--template", metavar="PATH",
-                            default=absent if suppress else None,
-                            help="template file override")
+    for name in ("endings", "verbs", "template") if paths else ():
+        parser.add_argument(f"--{name}", metavar="PATH", default=absent,
+                            help=f"{name} file override")
 
 
 def build_parser():
@@ -61,334 +53,198 @@ def build_parser():
                     "lemmatize surface forms, and validate lexicon data.",
     )
     _add_common_options(parser)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("conjugate", help="print every surface form of a stem")
-    p.add_argument("stem")
-    _add_common_options(p, suppress=True)
-    p.set_defaults(func=cmd_conjugate)
-
-    p = sub.add_parser("pair", help="combine one stem with one ending")
-    p.add_argument("stem")
-    p.add_argument("ending")
-    _add_common_options(p, suppress=True)
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("lemmatize", help="find the stems behind a conjugated form")
-    p.add_argument("form")
-    p.add_argument("--scope", action="append", metavar="STEM",
-                   help="index only these stems (repeatable; default: all)")
-    _add_common_options(p, suppress=True)
-    p.set_defaults(func=cmd_lemmatize)
-
-    p = sub.add_parser("validate", help="check lexicon entries against class expectations")
-    p.add_argument("--expectations", metavar="PATH", help="expectations file override")
-    _add_common_options(p, suppress=True)
-    p.set_defaults(func=cmd_validate)
-
+    for name, func, help_text, *positionals in (
+        ("conjugate", cmd_conjugate, "print every surface form of a stem", "stem"),
+        ("pair", cmd_pair, "combine one stem with one ending", "stem", "ending"),
+        ("lemmatize", cmd_lemmatize, "find the stems behind a conjugated form", "form"),
+        ("validate", cmd_validate, "check lexicon entries against class expectations"),
+        ("classes", cmd_classes, "list class members"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+    sub.choices["lemmatize"].add_argument(
+        "--scope", action="append", metavar="STEM",
+        help="index only these stems (repeatable; default: all)")
+    sub.choices["validate"].add_argument(
+        "--expectations", metavar="PATH", help="expectations file override")
     # --verbs/--endings mean "select that listing" here, so the file
     # override flags for classes go before the subcommand.
-    p = sub.add_parser("classes", help="list class members")
-    group = p.add_mutually_exclusive_group()
+    group = sub.choices["classes"].add_mutually_exclusive_group()
     group.add_argument("--verbs", dest="verbs_only", action="store_true",
                        help="verb classes only")
     group.add_argument("--endings", dest="endings_only", action="store_true",
                        help="ending classes only")
-    _add_common_options(p, suppress=True, paths=False)
-    p.set_defaults(func=cmd_classes)
 
+    # After each subcommand's own arguments, so --help lists them first.
+    for name, p in sub.choices.items():
+        _add_common_options(p, suppress=True, paths=name != "classes")
     return parser
 
 
-def data_paths(args):
-    if args.data_dir:
-        base = Path(args.data_dir)
-    elif os.environ.get(DATA_ENV):
-        base = Path(os.environ[DATA_ENV])
-    else:
-        base = lexicon.default_data_dir()
-    return (
-        Path(args.endings) if args.endings else base / lexicon.ENDINGS_FILE,
-        Path(args.verbs) if args.verbs else base / lexicon.VERBS_FILE,
-        Path(args.template) if args.template else base / lexicon.TEMPLATE_FILE,
-        base,
-    )
+def _data_file(args, override, name):
+    """Path of the data file `name`: its own path flag (`override`), else
+    --data-dir, else $KOVERBS_DATA, else the installed sample data."""
+    if override:
+        return Path(override)
+    base = args.data_dir or os.environ.get(DATA_ENV)
+    return (Path(base) if base else lexicon.default_data_dir()) / name
 
 
-def load_lexicon(args):
-    endings_path, verbs_path, template_path, _ = data_paths(args)
-    return lexicon.load(endings_path, verbs_path, template_path)
+# -- commands: each builds its JSON payload and picks its exit code ---
+
+def _form(form):
+    sources = [{"verb_class": verb_class, "rule": ruleset.serialize_rule(rule)}
+               for verb_class, rule in form.provenance]
+    return {"text": form.text, "sources": sources}
 
 
-# -- payload builders ------------------------------------------------
-# Every command renders from a plain JSON-able dict, so the json format
-# is just the payload and tsv/table are views of it.
-
-def paradigm_payload(paradigm, class_ids):
-    return {
-        "verb": paradigm.verb,
-        "classes": list(class_ids),
-        "paradigm": [
-            {
-                "ending": ending_entry.surface,
-                "ending_class": ending_entry.class_id,
-                "forms": [form_payload(form) for form in forms],
-            }
-            for ending_entry, forms in paradigm.entries
-        ],
-    }
+def cmd_conjugate(args, lex):
+    paradigm = conjugator.conjugate(lex, args.stem)
+    blocks = [{"ending": entry.surface, "ending_class": entry.class_id,
+               "forms": [_form(form) for form in forms]}
+              for entry, forms in paradigm.entries]
+    classes = list(lex.verbs[args.stem].class_ids)
+    return {"verb": paradigm.verb, "classes": classes, "paradigm": blocks}, EXIT_OK
 
 
-def form_payload(form):
-    return {
-        "text": form.text,
-        "sources": [
-            {"verb_class": verb_class, "rule": ruleset.serialize_rule(rule)}
-            for verb_class, rule in form.provenance
-        ],
-    }
+def cmd_pair(args, lex):
+    forms = [dict(_form(form), ending_class=form.ending_class)
+             for form in conjugator.conjugate_pair(lex, args.stem, args.ending)]
+    payload = {"verb": args.stem, "ending": args.ending, "forms": forms}
+    return payload, EXIT_OK if forms else EXIT_EMPTY
 
 
-def pair_payload(verb, ending, forms):
-    return {
-        "verb": verb,
-        "ending": ending,
-        "forms": [
-            dict(form_payload(form), ending_class=form.ending_class)
-            for form in forms
-        ],
-    }
+def cmd_lemmatize(args, lex):
+    index = lemmatizer.build_index(lex, args.scope)
+    candidates = [{"verb": c.verb, "ending": c.ending, "verb_class": c.verb_class,
+                   "ending_class": c.ending_class}
+                  for c in lemmatizer.lemmatize(index, args.form)]
+    payload = {"form": args.form, "candidates": candidates}
+    return payload, EXIT_OK if candidates else EXIT_EMPTY
 
 
-def lemmatize_payload(form, candidates):
-    return {
-        "form": form,
-        "candidates": [
-            {
-                "verb": c.verb,
-                "ending": c.ending,
-                "verb_class": c.verb_class,
-                "ending_class": c.ending_class,
-            }
-            for c in candidates
-        ],
-    }
+def cmd_validate(args, lex):
+    path = _data_file(args, args.expectations, lexicon.EXPECTATIONS_FILE)
+    violations = [{"scope": v.scope, "surface": v.surface, "class": v.class_id,
+                   "check": v.check, "expected": v.expected}
+                  for v in lexicon.validate(lex, lexicon.load_expectations(path))]
+    return {"violations": violations}, EXIT_EMPTY if violations else EXIT_OK
 
 
-def validate_payload(violations):
-    return {
-        "violations": [
-            {
-                "scope": v.scope,
-                "surface": v.surface,
-                "class": v.class_id,
-                "check": v.check,
-                "expected": v.expected,
-            }
-            for v in violations
-        ],
-    }
-
-
-def classes_payload(lex, verbs_only, endings_only):
+def cmd_classes(args, lex):
     payload = {}
-    if not endings_only:
+    if not args.endings_only:
         members = {c: [] for c in range(1, ruleset.VERB_CLASS_COUNT + 1)}
         for entry in lex.verbs.values():
             for class_id in entry.class_ids:
                 members[class_id].append(entry.surface)
-        payload["verb_classes"] = [
-            {"id": c, "members": members[c]} for c in sorted(members)
-        ]
-    if not verbs_only:
+        payload["verb_classes"] = [{"id": c, "members": m} for c, m in members.items()]
+    if not args.verbs_only:
         payload["ending_classes"] = [
             {"id": c, "members": [e.surface for e in lex.endings_of_class(c)]}
             for c in range(1, ruleset.ENDING_CLASS_COUNT + 1)
         ]
-    return payload
+    return payload, EXIT_OK
 
 
-# -- renderers --------------------------------------------------------
+# -- views: from a payload, its TSV columns and rows and its table lines
 
-def render_json(payload):
-    return json.dumps(payload, ensure_ascii=False, indent=2)
-
-
-def render_paradigm_tsv(payload):
-    lines = ["ending_class\tending\tform\tverb_class\trule"]
-    for block in payload["paradigm"]:
-        for form in block["forms"]:
-            for source in form["sources"]:
-                lines.append(
-                    f"{block['ending_class']}\t{block['ending']}\t{form['text']}"
-                    f"\t{source['verb_class']}\t{source['rule']}"
-                )
-    return "\n".join(lines)
+_SOURCE_COLUMNS = ("ending_class", "ending", "form", "verb_class", "rule")
 
 
-def render_paradigm_table(payload):
-    classes = ",".join(str(c) for c in payload["classes"])
-    lines = [f"{payload['verb']}  (verb class {classes})"]
+def _sources(ending_class, ending, form):
+    return [(ending_class, ending, form["text"], source["verb_class"], source["rule"])
+            for source in form["sources"]]
+
+
+def _conjugate_view(p):
+    rows = []
+    lines = [f"{p['verb']}  (verb class {','.join(map(str, p['classes']))})"]
     current = None
-    for block in payload["paradigm"]:
+    for block in p["paradigm"]:
         if block["ending_class"] != current:
             current = block["ending_class"]
             lines.append(f"[ending class {current}]")
         for form in block["forms"]:
+            rows += _sources(block["ending_class"], block["ending"], form)
             lines.append(f"  {block['ending']}\t{form['text']}")
-    return "\n".join(lines)
+    return _SOURCE_COLUMNS, rows, lines
 
 
-def render_pair_tsv(payload):
-    lines = ["ending_class\tending\tform\tverb_class\trule"]
-    for form in payload["forms"]:
-        for source in form["sources"]:
-            lines.append(
-                f"{form['ending_class']}\t{payload['ending']}\t{form['text']}"
-                f"\t{source['verb_class']}\t{source['rule']}"
-            )
-    return "\n".join(lines)
+def _pair_view(p):
+    rows = [row for form in p["forms"]
+            for row in _sources(form["ending_class"], p["ending"], form)]
+    lines = [f"{p['verb']} + {p['ending']}"]
+    lines += [f"  {text}\t(verb class {verb_class}, rule {rule})"
+              for _, _, text, verb_class, rule in rows]
+    return _SOURCE_COLUMNS, rows, lines
 
 
-def render_pair_table(payload):
-    lines = [f"{payload['verb']} + {payload['ending']}"]
-    for form in payload["forms"]:
-        for source in form["sources"]:
-            lines.append(
-                f"  {form['text']}\t(verb class {source['verb_class']}, "
-                f"rule {source['rule']})"
-            )
-    return "\n".join(lines)
+def _lemmatize_view(p):
+    rows = [(c["verb"], c["ending"], c["verb_class"], c["ending_class"])
+            for c in p["candidates"]]
+    lines = [p["form"]]
+    lines += [f"  {verb} + {ending}\t(verb class {verb_class}, ending class {ending_class})"
+              for verb, ending, verb_class, ending_class in rows]
+    return ("verb", "ending", "verb_class", "ending_class"), rows, lines
 
 
-def render_lemmatize_tsv(payload):
-    lines = ["verb\tending\tverb_class\tending_class"]
-    for c in payload["candidates"]:
-        lines.append(f"{c['verb']}\t{c['ending']}\t{c['verb_class']}\t{c['ending_class']}")
-    return "\n".join(lines)
+def _validate_view(p):
+    rows = [(v["scope"], v["class"], v["surface"], v["check"],
+             "true" if v["expected"] else "false") for v in p["violations"]]
+    lines = [f"{len(rows)} violation(s)" if rows else "ok: no violations"]
+    lines += [f"  {scope} {surface} (class {class_id}): expected {check}={expected}"
+              for scope, class_id, surface, check, expected in rows]
+    return ("scope", "class", "surface", "check", "expected"), rows, lines
 
 
-def render_lemmatize_table(payload):
-    lines = [payload["form"]]
-    for c in payload["candidates"]:
-        lines.append(
-            f"  {c['verb']} + {c['ending']}\t(verb class {c['verb_class']}, "
-            f"ending class {c['ending_class']})"
-        )
-    return "\n".join(lines)
+def _classes_view(p):
+    rows, lines = [], []
+    for kind in ("verb", "ending"):
+        if f"{kind}_classes" in p:
+            lines.append(f"{kind} classes")
+        for block in p.get(f"{kind}_classes", ()):
+            rows.append((kind, block["id"], ",".join(block["members"])))
+            lines.append(f"  {block['id']:>2}  {' '.join(block['members']) or '-'}")
+    return ("kind", "class", "members"), rows, lines
 
 
-def render_validate_tsv(payload):
-    lines = ["scope\tclass\tsurface\tcheck\texpected"]
-    for v in payload["violations"]:
-        expected = "true" if v["expected"] else "false"
-        lines.append(f"{v['scope']}\t{v['class']}\t{v['surface']}\t{v['check']}\t{expected}")
-    return "\n".join(lines)
+_VIEWS = dict(conjugate=_conjugate_view, pair=_pair_view, lemmatize=_lemmatize_view,
+              validate=_validate_view, classes=_classes_view)
 
 
-def render_validate_table(payload):
-    if not payload["violations"]:
-        return "ok: no violations"
-    lines = [f"{len(payload['violations'])} violation(s)"]
-    for v in payload["violations"]:
-        expected = "true" if v["expected"] else "false"
-        lines.append(
-            f"  {v['scope']} {v['surface']} (class {v['class']}): "
-            f"expected {v['check']}={expected}"
-        )
-    return "\n".join(lines)
-
-
-def render_classes_tsv(payload):
-    lines = ["kind\tclass\tmembers"]
-    for kind, key in (("verb", "verb_classes"), ("ending", "ending_classes")):
-        for block in payload.get(key, ()):
-            lines.append(f"{kind}\t{block['id']}\t{','.join(block['members'])}")
-    return "\n".join(lines)
-
-
-def render_classes_table(payload):
-    lines = []
-    for title, key in (("verb classes", "verb_classes"), ("ending classes", "ending_classes")):
-        if key not in payload:
-            continue
-        lines.append(title)
-        for block in payload[key]:
-            members = " ".join(block["members"]) or "-"
-            lines.append(f"  {block['id']:>2}  {members}")
-    return "\n".join(lines)
-
-
-def emit(payload, fmt, tsv_renderer, table_renderer):
+def render(fmt, command, payload):
+    """The output text of one command: its payload as JSON, or a view of
+    the payload, as TSV (a column header, then rows) or as table lines."""
     if fmt == "json":
-        print(render_json(payload))
-    elif fmt == "tsv":
-        print(tsv_renderer(payload))
-    else:
-        print(table_renderer(payload))
-
-
-# -- commands ---------------------------------------------------------
-
-def cmd_conjugate(args):
-    lex = load_lexicon(args)
-    paradigm = conjugator.conjugate(lex, args.stem)
-    payload = paradigm_payload(paradigm, lex.verbs[args.stem].class_ids)
-    emit(payload, args.format, render_paradigm_tsv, render_paradigm_table)
-    return EXIT_OK
-
-
-def cmd_pair(args):
-    lex = load_lexicon(args)
-    forms = conjugator.conjugate_pair(lex, args.stem, args.ending)
-    payload = pair_payload(args.stem, args.ending, forms)
-    emit(payload, args.format, render_pair_tsv, render_pair_table)
-    return EXIT_OK if forms else EXIT_EMPTY
-
-
-def cmd_lemmatize(args):
-    lex = load_lexicon(args)
-    index = lemmatizer.build_index(lex, args.scope)
-    candidates = lemmatizer.lemmatize(index, args.form)
-    payload = lemmatize_payload(args.form, candidates)
-    emit(payload, args.format, render_lemmatize_tsv, render_lemmatize_table)
-    if not candidates:
-        print("Not Found", file=sys.stderr)
-        return EXIT_EMPTY
-    return EXIT_OK
-
-
-def cmd_validate(args):
-    lex = load_lexicon(args)
-    _, _, _, base = data_paths(args)
-    expectations_path = Path(args.expectations) if args.expectations \
-        else base / lexicon.EXPECTATIONS_FILE
-    expectations = lexicon.load_expectations(expectations_path)
-    violations = lexicon.validate(lex, expectations)
-    payload = validate_payload(violations)
-    emit(payload, args.format, render_validate_tsv, render_validate_table)
-    return EXIT_OK if not violations else EXIT_EMPTY
-
-
-def cmd_classes(args):
-    lex = load_lexicon(args)
-    payload = classes_payload(lex, args.verbs_only, args.endings_only)
-    emit(payload, args.format, render_classes_tsv, render_classes_table)
-    return EXIT_OK
+        return json.dumps(payload, ensure_ascii=False, indent=2)
+    columns, rows, lines = _VIEWS[command](payload)
+    if fmt == "tsv":
+        lines = ["\t".join(map(str, row)) for row in [columns, *rows]]
+    return "\n".join(lines)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lex = lexicon.load(_data_file(args, args.endings, lexicon.ENDINGS_FILE),
+                           _data_file(args, args.verbs, lexicon.VERBS_FILE),
+                           _data_file(args, args.template, lexicon.TEMPLATE_FILE))
+        payload, code = args.func(args, lex)
+        print(render(args.format, args.command, payload))
     except NotFound:
         print("Not Found", file=sys.stderr)
         return EXIT_EMPTY
     except (KoverbsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
+    if code == EXIT_EMPTY and args.command == "lemmatize":
+        # A form no stem produces is a failed lookup, like an unknown stem.
+        print("Not Found", file=sys.stderr)
+    return code
 
 
 def run():

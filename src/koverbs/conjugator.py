@@ -10,7 +10,7 @@ lexicon's template populates for a stem.
 from dataclasses import dataclass
 
 from . import hangul_codec, ruleset
-from .errors import IndexOutOfBounds, NotFound
+from .errors import IndexOutOfBounds, NotFound, Uncomposable
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,15 @@ def _forms_for(lexicon, verb_entry, verb_letters, ending_entry):
         rule = lexicon.template.lookup(verb_class, ending_entry.class_id)
         if rule is None:
             continue
-        text = apply_rule(verb_letters, ending_letters, rule)
+        try:
+            text = apply_rule(verb_letters, ending_letters, rule)
+        except Uncomposable as err:
+            raise Uncomposable(
+                err.letters, err.position,
+                f"stem {verb_entry.surface!r} (verb class {verb_class}) + ending "
+                f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
+                f"rule {ruleset.serialize_rule(rule)}",
+            ) from None
         if text not in sources:
             order.append(text)
             sources[text] = []

@@ -17,11 +17,14 @@ class NonHangulInput(KoverbsError):
 class Uncomposable(KoverbsError):
     """A letter sequence that cannot be packed into syllable blocks."""
 
-    def __init__(self, letters, position):
+    def __init__(self, letters, position, source=None):
         shown = "".join(letters)
-        super().__init__(f"cannot compose {shown!r}: stuck at letter {position}")
+        message = f"cannot compose {shown!r}: stuck at letter {position}"
+        super().__init__(f"{source}: {message}" if source else message)
         self.letters = tuple(letters)
         self.position = position
+        # What was being combined, e.g. the stem, ending, classes and rule.
+        self.source = source
 
 
 class MalformedRule(KoverbsError):
@@ -41,6 +44,20 @@ class ParseError(KoverbsError):
         self.path = str(path)
         self.line = line
         self.reason = reason
+
+    @classmethod
+    def not_utf8(cls, path):
+        """The error for a data file that is not UTF-8 text, at the line
+        of its first invalid byte."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            return cls(path, data.count(b"\n", 0, err.start) + 1,
+                       f"not UTF-8: byte {data[err.start]:#04x} at offset "
+                       f"{err.start} ({err.reason})")
+        return cls(path, 1, "not UTF-8")
 
 
 class RangeError(KoverbsError):

@@ -92,11 +92,14 @@ def default_data_dir():
 
 
 def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line:
-                yield line_no, line
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise ParseError.not_utf8(path) from None
 
 
 def _letter_count(surface, path, line_no):

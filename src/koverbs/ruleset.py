@@ -141,5 +141,9 @@ def parse_template(text, source="<template>"):
 
 
 def load_template(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_template(fh.read(), source=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ParseError.not_utf8(path) from None
+    return parse_template(text, source=path)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from koverbs import cli
 
@@ -74,7 +76,7 @@ def test_format_flag_position_is_free(capsys):
 def test_conjugate_json_tsv_round_trip(capsys):
     _, json_out, _ = run_cli(["--format", "json", "conjugate", "모르"], capsys)
     _, tsv_out, _ = run_cli(["--format", "tsv", "conjugate", "모르"], capsys)
-    assert cli.render_paradigm_tsv(json.loads(json_out)) + "\n" == tsv_out
+    assert cli.render("tsv", "conjugate", json.loads(json_out)) + "\n" == tsv_out
 
 
 # ---------------------------------------------------------------- pair
@@ -94,6 +96,16 @@ def test_pair_blank_cell_is_empty(capsys):
     assert "있 + 네" in out
 
 
+def test_pair_table(capsys):
+    code, out, err = run_cli(["pair", "굽", "어"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "굽 + 어",
+        "  굽어\t(verb class 18, rule None,,None)",
+        "  구워\t(verb class 22, rule -1,ㅇㅝ,2)",
+    ]
+
+
 def test_pair_unknown_ending(capsys):
     code, out, err = run_cli(["pair", "있", "뷁"], capsys)
     assert code == 1
@@ -103,7 +115,7 @@ def test_pair_unknown_ending(capsys):
 def test_pair_json_tsv_round_trip(capsys):
     _, json_out, _ = run_cli(["--format", "json", "pair", "굽", "어"], capsys)
     _, tsv_out, _ = run_cli(["--format", "tsv", "pair", "굽", "어"], capsys)
-    assert cli.render_pair_tsv(json.loads(json_out)) + "\n" == tsv_out
+    assert cli.render("tsv", "pair", json.loads(json_out)) + "\n" == tsv_out
 
 
 # ---------------------------------------------------------------- lemmatize
@@ -115,6 +127,26 @@ def test_lemmatize_found(capsys):
     assert {
         "verb": "그렇", "ending": "어야", "verb_class": 8, "ending_class": 3,
     } in payload["candidates"]
+
+
+def test_lemmatize_tsv(capsys):
+    code, out, err = run_cli(["--format", "tsv", "lemmatize", "몰라"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "verb\tending\tverb_class\tending_class",
+        "모르\t아\t25\t15",
+        "모르\t어\t45\t3",
+    ]
+
+
+def test_lemmatize_table(capsys):
+    code, out, err = run_cli(["lemmatize", "몰라"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "몰라",
+        "  모르 + 아\t(verb class 25, ending class 15)",
+        "  모르 + 어\t(verb class 45, ending class 3)",
+    ]
 
 
 def test_lemmatize_unknown_form(capsys):
@@ -173,6 +205,36 @@ def test_validate_misfiled_ending(tmp_path, capsys):
     }]
 
 
+def misfiled_dir(tmp_path):
+    verbs = VERBS_PATH.read_text(encoding="utf-8").replace("먹\t18\n", "먹\t18,16\n")
+    endings = ENDINGS_PATH.read_text(encoding="utf-8") + "어야\t1\n"
+    return seed_dir(tmp_path, verbs=verbs, endings=endings)
+
+
+def test_validate_violations_tsv(tmp_path, capsys):
+    data = misfiled_dir(tmp_path)
+    code, out, err = run_cli(["--format", "tsv", "--data-dir", str(data), "validate"], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "scope\tclass\tsurface\tcheck\texpected",
+        "verb\t16\t먹\tends-with-ㄹ\ttrue",
+        "ending\t1\t어야\tstarts-with-vowel\tfalse",
+    ]
+
+
+def test_validate_violations_table(tmp_path, capsys):
+    data = misfiled_dir(tmp_path)
+    code, out, err = run_cli(["--data-dir", str(data), "validate"], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "2 violation(s)",
+        "  verb 먹 (class 16): expected ends-with-ㄹ=true",
+        "  ending 어야 (class 1): expected starts-with-vowel=false",
+    ]
+
+
 def test_validate_malformed_template_cell(tmp_path, capsys):
     template = TEMPLATE_PATH.read_text(encoding="utf-8").replace("-2,ㅐ,2", "-2,ㅐ", 1)
     data = seed_dir(tmp_path, template=template)
@@ -186,6 +248,24 @@ def test_missing_data_dir(tmp_path, capsys):
         ["--data-dir", str(tmp_path / "nowhere"), "conjugate", "가"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_verbs_file_not_utf8(tmp_path, capsys):
+    verbs = tmp_path / "verbs.tsv"
+    verbs.write_bytes("가\t29\n".encode("utf-8") + "나\t29\n".encode("euc-kr"))
+    code, out, err = run_cli(["--verbs", str(verbs), "conjugate", "가"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {verbs}:2: not UTF-8: byte 0xb3 at offset 7 (invalid start byte)\n"
+
+
+def test_template_file_not_utf8(tmp_path, capsys):
+    template = tmp_path / "template.tsv"
+    template.write_bytes(b"\xff\xfe" + TEMPLATE_PATH.read_bytes())
+    code, out, err = run_cli(["--template", str(template), "conjugate", "가"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {template}:1: not UTF-8: byte 0xff at offset 0")
 
 
 # ---------------------------------------------------------------- data paths
@@ -235,6 +315,29 @@ def test_classes_listing(capsys):
     assert len(lines) == 25
 
 
+def test_classes_table(capsys):
+    code, out, err = run_cli(["classes", "--endings"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "ending classes",
+        "   1  고 지만 기 지요",
+        "   2  네 냐",
+        "   3  어야 어 었다 어도",
+    ]
+    assert lines[-1] == "  24  ㄴ대요"
+    assert len(lines) == 25
+
+
+def test_classes_table_marks_empty_classes(tmp_path, capsys):
+    data = seed_dir(tmp_path, verbs="있\t1\n")
+    code, out, err = run_cli(["--data-dir", str(data), "classes", "--verbs"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["verb classes", "   1  있"] + [
+        f"  {c:>2}  -" for c in range(2, 47)
+    ]
+
+
 def test_classes_selectors_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["classes", "--verbs", "--endings"])
@@ -248,6 +351,52 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["conjugate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- views
+
+@pytest.mark.parametrize("fmt", ["tsv", "table"])
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "굽"],
+    ["pair", "이르", "어"],
+    ["lemmatize", "몰라"],
+    ["lemmatize", "zzz"],
+    ["validate"],
+    ["classes"],
+    ["classes", "--verbs"],
+], ids=" ".join)
+def test_views_render_from_the_json_payload(tmp_path, capsys, argv, fmt):
+    # The misfiled data dir gives validate two violations to show.
+    data = ["--data-dir", str(misfiled_dir(tmp_path))]
+    _, json_out, _ = run_cli([*data, "--format", "json", *argv], capsys)
+    _, direct, _ = run_cli([*data, "--format", fmt, *argv], capsys)
+    assert cli.render(fmt, argv[0], json.loads(json_out)) + "\n" == direct
+
+
+# ---------------------------------------------------------------- fuzz
+
+# Arbitrary Unicode in every free-text argument, in every format. The
+# only allowed outcomes are exit codes 0, 1 and 2, never a traceback.
+# The function-scoped fixtures (env cleanup, output capture) hold no
+# state that one example could leave for the next.
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["table", "json", "tsv"]),
+       command=st.sampled_from(["conjugate", "pair", "lemmatize"]),
+       first=st.text(), second=st.text(), scope=st.lists(st.text(), max_size=2))
+def test_cli_fuzz_exits_cleanly(capsys, fmt, command, first, second, scope):
+    argv = ["--format", fmt, command, first]
+    if command == "pair":
+        argv.append(second)
+    if command == "lemmatize":
+        for stem in scope:
+            argv += ["--scope", stem]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------- subprocess

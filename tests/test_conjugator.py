@@ -3,6 +3,7 @@ import pytest
 from koverbs import conjugator as cj
 from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
 from koverbs.hangul_codec import compose, decompose
+from koverbs.lexicon import Lexicon, VerbEntry
 from koverbs.ruleset import IDENTITY_RULE, Rule
 
 from oracle import brute_force, flatten_paradigm, merge_by_hand
@@ -195,6 +196,19 @@ def test_pair_unknown_parts(lexicon):
     with pytest.raises(NotFound) as exc:
         cj.conjugate_pair(lexicon, "가", "뷁")
     assert exc.value.query == "뷁"
+
+
+def test_uncomposable_names_its_source(lexicon):
+    # 가나 loads in verb class 4 (slice depth is fine), but class 4 keeps
+    # the stem whole, and 가나 + 아야 under rule None,,1 packs as
+    # ㄱㅏㄴㅏ + ㅏㅇㅑ: a vowel with no onset.
+    bad = Lexicon(lexicon.endings, [VerbEntry("가나", (4,))], lexicon.template)
+    with pytest.raises(Uncomposable) as exc:
+        cj.conjugate(bad, "가나")
+    for part in ("'가나'", "verb class 4", "'아야'", "ending class 6", "rule None,,1",
+                 "stuck at letter 4"):
+        assert part in str(exc.value)
+    assert exc.value.position == 4
 
 
 # ---------------------------------------------------------------- oracle spots
