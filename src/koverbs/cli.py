@@ -238,7 +238,8 @@ def main(argv=None):
     except NotFound:
         print("Not Found", file=sys.stderr)
         return EXIT_EMPTY
-    except (KoverbsError, OSError) as err:
+    except (KoverbsError, OSError, UnicodeEncodeError) as err:
+        # UnicodeEncodeError: a non-UTF-8 argument echoed to a strict stdout.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     if code == EXIT_EMPTY and args.command == "lemmatize":

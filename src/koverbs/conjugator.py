@@ -3,8 +3,8 @@
 apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
-conjugate runs it across every (verb class, ending class) cell the
-lexicon's template populates for a stem.
+conjugate and conjugate_pair do the same arithmetic from the lexicon's
+plan for the stem's classes, which holds each ending's part precomputed.
 """
 
 from dataclasses import dataclass
@@ -51,21 +51,15 @@ def apply_rule(verb_letters, ending_letters, rule):
     start = rule.ending_start
     if start is not None and start > len(ending_letters):
         raise IndexOutOfBounds("ending", start, len(ending_letters))
-    kept = verb_letters if stop is None else verb_letters[:stop]
-    tail = ending_letters if start is None else ending_letters[start:]
-    return hangul_codec.compose(kept + rule.postfix + tail)
+    return hangul_codec.compose(verb_letters[:stop] + rule.postfix + ending_letters[start:])
 
 
-def _forms_for(lexicon, verb_entry, verb_letters, ending_entry):
-    ending_letters = hangul_codec.decompose(ending_entry.surface)
-    order = []
+def _forms(verb_entry, verb_letters, ending_entry, steps):
+    """One plan entry's forms, each with the (verb class, rule) pairs behind it."""
     sources = {}
-    for verb_class in verb_entry.class_ids:
-        rule = lexicon.template.lookup(verb_class, ending_entry.class_id)
-        if rule is None:
-            continue
+    for verb_class, rule, verb_stop, tail in steps:
         try:
-            text = apply_rule(verb_letters, ending_letters, rule)
+            text = hangul_codec.compose(verb_letters[:verb_stop] + tail)
         except Uncomposable as err:
             raise Uncomposable(
                 err.letters, err.position,
@@ -73,47 +67,39 @@ def _forms_for(lexicon, verb_entry, verb_letters, ending_entry):
                 f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
                 f"rule {ruleset.serialize_rule(rule)}",
             ) from None
-        if text not in sources:
-            order.append(text)
-            sources[text] = []
-        sources[text].append((verb_class, rule))
-    return tuple(
-        SurfaceForm(
-            text=text,
-            verb=verb_entry.surface,
-            ending=ending_entry.surface,
-            ending_class=ending_entry.class_id,
-            provenance=tuple(sources[text]),
-        )
-        for text in order
-    )
+        sources.setdefault(text, []).append((verb_class, rule))
+    return tuple(SurfaceForm(text, verb_entry.surface, ending_entry.surface, ending_entry.class_id,
+                             tuple(provenance)) for text, provenance in sources.items())
+
+
+def _planned(lexicon, verb):
+    """A stem's entry, letters and plan, its slice depth checked once."""
+    verb_entry = lexicon.verbs.get(verb)
+    if verb_entry is None:
+        raise NotFound(verb)
+    verb_letters = hangul_codec.decompose(verb)
+    depth, plan = lexicon._plan(verb_entry.class_ids)
+    if depth > len(verb_letters):
+        raise IndexOutOfBounds("verb", -depth, len(verb_letters))
+    return verb_entry, verb_letters, plan
 
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    verb_entry = lexicon.verbs.get(verb)
-    if verb_entry is None:
-        raise NotFound(verb)
-    verb_letters = hangul_codec.decompose(verb)
-    entries = []
-    for ending_class in range(1, ruleset.ENDING_CLASS_COUNT + 1):
-        for ending_entry in lexicon.endings_of_class(ending_class):
-            forms = _forms_for(lexicon, verb_entry, verb_letters, ending_entry)
-            if forms:
-                entries.append((ending_entry, forms))
-    return Paradigm(verb=verb, entries=tuple(entries))
+    verb_entry, verb_letters, plan = _planned(lexicon, verb)
+    return Paradigm(verb=verb, entries=tuple(
+        (ending_entry, _forms(verb_entry, verb_letters, ending_entry, steps))
+        for ending_entry, steps in plan
+    ))
 
 
 def conjugate_pair(lexicon, verb, ending):
     """Forms for one (stem, ending) pair; empty when all cells are blank."""
-    verb_entry = lexicon.verbs.get(verb)
-    if verb_entry is None:
-        raise NotFound(verb)
-    matches = [e for e in lexicon.endings if e.surface == ending]
-    if not matches:
+    verb_entry, verb_letters, plan = _planned(lexicon, verb)
+    found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
+    if not found and all(e.surface != ending for e in lexicon.endings):
         raise NotFound(ending)
-    verb_letters = hangul_codec.decompose(verb)
-    forms = []
-    for ending_entry in matches:
-        forms.extend(_forms_for(lexicon, verb_entry, verb_letters, ending_entry))
-    return forms
+    if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
+        found.sort(key=lambda item: lexicon.endings.index(item[0]))
+    return [form for entry, steps in found
+            for form in _forms(verb_entry, verb_letters, entry, steps)]

@@ -107,10 +107,6 @@ def decompose(text):
     return tuple(letters)
 
 
-def _vowel_at(seq, i):
-    return i < len(seq) and seq[i] in _VOWEL_INDEX
-
-
 def compose(letters):
     """Pack a letter sequence into syllable blocks, greedily left to right.
 
@@ -124,22 +120,26 @@ def compose(letters):
     """
     seq = tuple(letters)
     n = len(seq)
+    # Two pads in no table let the lookahead run past the end unchecked.
+    padded = seq + (None, None)
+    onsets, vowels, finals = _ONSET_INDEX, _VOWEL_INDEX, _FINAL_INDEX
     out = []
     i = 0
     while i < n:
-        onset = _ONSET_INDEX.get(seq[i])
-        if onset is None or not _vowel_at(seq, i + 1):
+        onset = onsets.get(padded[i])
+        if onset is None or padded[i + 1] not in vowels:
             raise Uncomposable(seq, i)
-        vowel = _VOWEL_INDEX[seq[i + 1]]
+        vowel = vowels[padded[i + 1]]
         i += 2
-        final = 0
-        if i < n and seq[i] in _FINAL_INDEX and not _vowel_at(seq, i + 1):
-            pair = seq[i:i + 2]
-            if pair in _MERGE_FINAL and not _vowel_at(seq, i + 2):
-                final = _FINAL_INDEX[_MERGE_FINAL[pair]]
+        final = finals.get(padded[i], 0)
+        if final and padded[i + 1] in vowels:
+            final = 0
+        elif final:
+            cluster = _MERGE_FINAL.get(padded[i:i + 2])
+            if cluster is not None and padded[i + 2] not in vowels:
+                final = finals[cluster]
                 i += 2
             else:
-                final = _FINAL_INDEX[seq[i]]
                 i += 1
         out.append(chr(SYLLABLE_BASE + (onset * 21 + vowel) * 28 + final))
     return "".join(out)

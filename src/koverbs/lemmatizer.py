@@ -8,7 +8,8 @@ no fuzzy matching and no normalization.
 from dataclasses import dataclass
 
 from . import conjugator
-from .errors import NotFound
+from .errors import NotFound, ParseError
+from .lexicon import _rows
 
 
 @dataclass(frozen=True, order=True)
@@ -89,15 +90,13 @@ def save_index(index, path):
 def load_index(path):
     """Rebuild a FormIndex from a file written by save_index."""
     collected = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            text, verb, ending, verb_class, ending_class = line.split("\t")
-            collected.setdefault(text, set()).add(
-                LemmaCandidate(verb, ending, int(verb_class), int(ending_class))
-            )
+    for line_no, (text, verb, ending, verb_class, ending_class) in _rows(path, 5):
+        try:
+            classes = int(verb_class), int(ending_class)
+        except ValueError:
+            raise ParseError(path, line_no, f"class ids {verb_class!r}, {ending_class!r} "
+                                            "are not both integers") from None
+        collected.setdefault(text, set()).add(LemmaCandidate(verb, ending, *classes))
     index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
     scope = sorted({cand.verb for bucket in index.values() for cand in bucket})
     return FormIndex(index, scope)

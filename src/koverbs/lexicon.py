@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hangul_codec, ruleset
-from .errors import DuplicateVerb, NonHangulInput, ParseError, RangeError
+from .errors import DuplicateVerb, IndexOutOfBounds, NonHangulInput, ParseError, RangeError
 
 ENDINGS_FILE = "endings.tsv"
 VERBS_FILE = "verbs.tsv"
@@ -78,6 +78,7 @@ class Lexicon:
         for entry in self.endings:
             by_class[entry.class_id].append(entry)
         self._by_class = {k: tuple(v) for k, v in by_class.items()}
+        self._plans, self._letters = {}, None
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
@@ -85,21 +86,67 @@ class Lexicon:
             raise RangeError(ending_class, 1, ruleset.ENDING_CLASS_COUNT)
         return self._by_class[ending_class]
 
+    def _plan(self, class_ids):
+        """The conjugation plan shared by all stems of these verb classes,
+        compiled on first use: (deepest verb slice, ((EndingEntry, steps), ...))
+        by ending class, then file order, leaving out endings whose cells are
+        all blank. A step is (verb class, rule, verb stop, postfix + the
+        ending's letters from the rule's start); its form is
+        compose(stem letters[:verb stop] + that tail)."""
+        if class_ids in self._plans:
+            return self._plans[class_ids]
+        if self._letters is None:
+            self._letters = {e.surface: hangul_codec.decompose(e.surface) for e in self.endings}
+        depth, entries = 0, []
+        for ending_class, endings in self._by_class.items():
+            cells = [(c, self.template.lookup(c, ending_class)) for c in class_ids if endings]
+            rules = [(c, rule) for c, rule in cells if rule is not None]
+            if not rules:
+                continue
+            depth = max([depth] + [-rule.verb_stop for _, rule in rules if rule.verb_stop])
+            start = max([0] + [rule.ending_start for _, rule in rules if rule.ending_start])
+            for entry in endings:
+                letters = self._letters[entry.surface]
+                if start > len(letters):
+                    raise IndexOutOfBounds("ending", start, len(letters))
+                entries.append((entry, tuple((c, rule, rule.verb_stop,
+                                              rule.postfix + letters[rule.ending_start:])
+                                             for c, rule in rules)))
+        plan = self._plans[class_ids] = depth, tuple(entries)
+        return plan
+
 
 def default_data_dir():
     """Directory holding the sample data installed with the package."""
     return Path(__file__).parent / "data"
 
 
-def _data_lines(path):
+def _rows(path, width):
+    """(line number, fields) for each non-blank line of a UTF-8 TSV file
+    whose lines all hold `width` tab-separated fields."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
-                if line:
-                    yield line_no, line
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != width:
+                    raise ParseError(path, line_no,
+                                     f"expected {width} tab-separated fields, got {len(fields)}")
+                yield line_no, fields
     except UnicodeDecodeError:
         raise ParseError.not_utf8(path) from None
+
+
+def _class_id(raw, high, path, line_no):
+    try:
+        class_id = int(raw)
+    except ValueError:
+        raise ParseError(path, line_no, f"class id {raw!r} is not an integer") from None
+    if not 1 <= class_id <= high:
+        raise RangeError(class_id, 1, high)
+    return class_id
 
 
 def _letter_count(surface, path, line_no):
@@ -111,17 +158,8 @@ def _letter_count(surface, path, line_no):
 
 def _load_endings(path):
     entries = []
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-        surface, raw_class = fields
-        try:
-            class_id = int(raw_class)
-        except ValueError:
-            raise ParseError(path, line_no, f"class id {raw_class!r} is not an integer") from None
-        if not 1 <= class_id <= ruleset.ENDING_CLASS_COUNT:
-            raise RangeError(class_id, 1, ruleset.ENDING_CLASS_COUNT)
+    for line_no, (surface, raw_class) in _rows(path, 2):
+        class_id = _class_id(raw_class, ruleset.ENDING_CLASS_COUNT, path, line_no)
         length = _letter_count(surface, path, line_no)
         entries.append((line_no, length, EndingEntry(surface, class_id)))
     return entries
@@ -130,22 +168,13 @@ def _load_endings(path):
 def _load_verbs(path):
     entries = []
     seen = set()
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-        surface, raw_classes = fields
+    for line_no, (surface, raw_classes) in _rows(path, 2):
         if surface in seen:
             raise DuplicateVerb(surface)
         seen.add(surface)
         class_ids = []
         for piece in raw_classes.split(","):
-            try:
-                class_id = int(piece)
-            except ValueError:
-                raise ParseError(path, line_no, f"class id {piece!r} is not an integer") from None
-            if not 1 <= class_id <= ruleset.VERB_CLASS_COUNT:
-                raise RangeError(class_id, 1, ruleset.VERB_CLASS_COUNT)
+            class_id = _class_id(piece, ruleset.VERB_CLASS_COUNT, path, line_no)
             if class_id in class_ids:
                 raise ParseError(path, line_no, f"class id {class_id} repeated")
             class_ids.append(class_id)
@@ -158,16 +187,10 @@ def _load_verbs(path):
 
 def _slice_needs(template):
     """Per class, the deepest slice any of its rules would take."""
-    verb_need = {}
-    ending_need = {}
+    verb_need, ending_need = {}, {}
     for (verb_class, ending_class), rule in template.cells():
-        if rule.verb_stop is not None:
-            need = -rule.verb_stop
-            if need > verb_need.get(verb_class, 0):
-                verb_need[verb_class] = need
-        if rule.ending_start is not None:
-            if rule.ending_start > ending_need.get(ending_class, 0):
-                ending_need[ending_class] = rule.ending_start
+        verb_need[verb_class] = max(verb_need.get(verb_class, 0), -(rule.verb_stop or 0))
+        ending_need[ending_class] = max(ending_need.get(ending_class, 0), rule.ending_start or 0)
     return verb_need, ending_need
 
 
@@ -210,20 +233,11 @@ def load(endings_path, verbs_path, template_path):
 
 def load_expectations(path):
     expectations = []
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(path, line_no, f"expected 4 tab-separated fields, got {len(fields)}")
-        scope, raw_class, check, raw_expected = fields
+    for line_no, (scope, raw_class, check, raw_expected) in _rows(path, 4):
         if scope not in ("verb", "ending"):
             raise ParseError(path, line_no, f"scope must be verb or ending, got {scope!r}")
         high = ruleset.VERB_CLASS_COUNT if scope == "verb" else ruleset.ENDING_CLASS_COUNT
-        try:
-            class_id = int(raw_class)
-        except ValueError:
-            raise ParseError(path, line_no, f"class id {raw_class!r} is not an integer") from None
-        if not 1 <= class_id <= high:
-            raise RangeError(class_id, 1, high)
+        class_id = _class_id(raw_class, high, path, line_no)
         if check not in CHECKS:
             raise ParseError(path, line_no, f"unknown check {check!r}")
         if raw_expected not in ("true", "false"):

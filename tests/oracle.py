@@ -1,12 +1,51 @@
 """Brute-force reference generator, kept independent of the conjugator.
 
-Slicing and merging are written out by hand here (positive indices,
-list concatenation) so a bug in conjugator.apply_rule cannot hide in
-both implementations.
+Slicing, merging and packing are written out by hand here (positive
+indices, list concatenation, a plain greedy packer) so a bug in the
+conjugator or in hangul_codec.compose cannot hide in both
+implementations.
 """
 
 from koverbs import hangul_codec
+from koverbs.errors import Uncomposable
+from koverbs.hangul_codec import SYLLABLE_BASE
 from koverbs.ruleset import ENDING_CLASS_COUNT
+
+_ONSET_INDEX = {c: i for i, c in enumerate(hangul_codec.ONSETS)}
+_VOWEL_INDEX = {v: i for i, v in enumerate(hangul_codec.VOWELS)}
+_FINAL_INDEX = {c: i for i, c in enumerate(hangul_codec.FINALS) if c}
+_MERGE_FINAL = {pair: cluster for cluster, pair in hangul_codec.CLUSTER_FINALS.items()}
+
+
+def _vowel_at(seq, i):
+    return i < len(seq) and seq[i] in _VOWEL_INDEX
+
+
+def compose_by_hand(letters):
+    """Reference for hangul_codec.compose: the same greedy packing, written
+    plainly with a bounds-checked lookahead, raising Uncomposable at the
+    letter where packing got stuck."""
+    seq = tuple(letters)
+    n = len(seq)
+    out = []
+    i = 0
+    while i < n:
+        onset = _ONSET_INDEX.get(seq[i])
+        if onset is None or not _vowel_at(seq, i + 1):
+            raise Uncomposable(seq, i)
+        vowel = _VOWEL_INDEX[seq[i + 1]]
+        i += 2
+        final = 0
+        if i < n and seq[i] in _FINAL_INDEX and not _vowel_at(seq, i + 1):
+            pair = seq[i:i + 2]
+            if pair in _MERGE_FINAL and not _vowel_at(seq, i + 2):
+                final = _FINAL_INDEX[_MERGE_FINAL[pair]]
+                i += 2
+            else:
+                final = _FINAL_INDEX[seq[i]]
+                i += 1
+        out.append(chr(SYLLABLE_BASE + (onset * 21 + vowel) * 28 + final))
+    return "".join(out)
 
 
 def merge_by_hand(verb, ending, rule):
@@ -19,7 +58,7 @@ def merge_by_hand(verb, ending, rule):
     if rule.ending_start is not None:
         ending_letters = ending_letters[rule.ending_start:]
     merged = verb_letters + list(rule.postfix) + ending_letters
-    return hangul_codec.compose(tuple(merged))
+    return compose_by_hand(merged)
 
 
 def brute_force(lexicon, verb):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -408,3 +409,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "3\t어야\t그래야\t8\t-2,ㅐ,2"
+
+
+def test_argument_not_utf8_under_a_strict_stdout():
+    # "\udcff" reaches the child as the byte 0xff, which Python decodes
+    # to a lone surrogate; PYTHONIOENCODING=utf-8 makes stdout strict.
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    for fmt in ("table", "json", "tsv"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "koverbs.cli", "--format", fmt, "lemmatize", "\udcff"],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode in (0, 1, 2)
+        assert b"Traceback" not in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "koverbs.cli", "lemmatize", "몰라"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.decode("utf-8").splitlines()[0] == "몰라"

@@ -1,11 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koverbs import conjugator as cj
+from koverbs import load_lexicon
 from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
-from koverbs.hangul_codec import compose, decompose
-from koverbs.lexicon import Lexicon, VerbEntry
-from koverbs.ruleset import IDENTITY_RULE, Rule
+from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST, compose, decompose
+from koverbs.lexicon import EndingEntry, Lexicon, VerbEntry
+from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template
 
+from conftest import shipped_paths
 from oracle import brute_force, flatten_paradigm, merge_by_hand
 
 # Worked out by hand, one step per field: decompose both sides,
@@ -198,6 +204,17 @@ def test_pair_unknown_parts(lexicon):
     assert exc.value.query == "뷁"
 
 
+def test_stem_shorter_than_its_plan_slices():
+    # A hand-built lexicon skips load's slice-depth check: the stem has 2
+    # letters, and its class's one rule drops the last 3.
+    template = Template({(1, 1): Rule(-3, (), None)})
+    short = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))], template)
+    for call in (lambda: cj.conjugate(short, "가"), lambda: cj.conjugate_pair(short, "가", "고")):
+        with pytest.raises(IndexOutOfBounds) as exc:
+            call()
+        assert (exc.value.which, exc.value.index, exc.value.length) == ("verb", -3, 2)
+
+
 def test_uncomposable_names_its_source(lexicon):
     # 가나 loads in verb class 4 (slice depth is fine), but class 4 keeps
     # the stem whole, and 가나 + 아야 under rule None,,1 packs as
@@ -221,3 +238,62 @@ def test_merge_by_hand_agrees_on_traces():
 @pytest.mark.parametrize("verb", ["그렇", "모르", "돕", "하", "있", "부르", "이"])
 def test_conjugate_matches_brute_force(lexicon, verb):
     assert flatten_paradigm(cj.conjugate(lexicon, verb)) == brute_force(lexicon, verb)
+
+
+# ------------------------------------------------- fast path against the oracle
+
+SHIPPED = load_lexicon(*shipped_paths())
+# The shipped endings, and a variant whose lines are not sorted by class
+# and where some surfaces recur under a second class, so ending-class
+# order and file order differ (conjugate promises the first, conjugate_pair
+# the second).
+RECURRING = [EndingEntry(e.surface, e.class_id % ENDING_CLASS_COUNT + 1)
+             for e in SHIPPED.endings[::6]]
+SHUFFLED = list(SHIPPED.endings) + RECURRING
+random.Random(7).shuffle(SHUFFLED)
+
+random_stems = st.tuples(
+    st.lists(st.integers(SYLLABLE_BASE, SYLLABLE_LAST).map(chr), max_size=2).map("".join),
+    st.sampled_from(sorted(SHIPPED.verbs)),
+).map("".join)
+class_tuples = st.lists(st.sampled_from(sorted({c for v in SHIPPED.verbs.values()
+                                                for c in v.class_ids})),
+                        min_size=1, max_size=3, unique=True).map(tuple)
+ending_files = st.sampled_from([tuple(SHIPPED.endings), tuple(SHUFFLED)])
+
+
+def outcome(call):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(verb=random_stems, classes=class_tuples, endings=ending_files)
+def test_conjugate_matches_oracle_on_random_stems(verb, classes, endings):
+    lex = Lexicon(endings, [VerbEntry(verb, classes)], SHIPPED.template)
+    assert (outcome(lambda: flatten_paradigm(cj.conjugate(lex, verb)))
+            == outcome(lambda: brute_force(lex, verb)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(verb=random_stems, classes=class_tuples, endings=ending_files,
+       ending=st.sampled_from(sorted({e.surface for e in SHIPPED.endings})))
+def test_conjugate_pair_matches_oracle_in_file_order(verb, classes, endings, ending):
+    lex = Lexicon(endings, [VerbEntry(verb, classes)], SHIPPED.template)
+    # The oracle over just this ending's lines, put back into file order.
+    only = Lexicon([e for e in endings if e.surface == ending], lex.verbs.values(), lex.template)
+    line = {(e.surface, e.class_id): i for i, e in enumerate(only.endings)}
+
+    def expected():
+        rows = sorted(brute_force(only, verb), key=lambda row: line[row[:2]])
+        return [(text, ending_class, classes)
+                for _, ending_class, forms in rows for text, classes in forms]
+
+    def got():
+        return [(f.text, f.ending_class, tuple(c for c, _ in f.provenance))
+                for f in cj.conjugate_pair(lex, verb, ending)]
+
+    assert outcome(got) == outcome(expected)

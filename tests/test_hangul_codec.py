@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from koverbs import hangul_codec as hc
 from koverbs.errors import NonHangulInput, Uncomposable
+
+from oracle import compose_by_hand
 
 syllables = st.integers(min_value=hc.SYLLABLE_BASE, max_value=hc.SYLLABLE_LAST).map(chr)
 syllable_text = st.text(alphabet=st.integers(
@@ -105,3 +107,27 @@ def test_round_trip_text(text):
 def test_decompose_is_normal_form(text):
     letters = hc.decompose(text)
     assert hc.decompose(hc.compose(letters)) == letters
+
+
+# Letter sequences shaped like syllables (onset, vowel, 0-2 trailing
+# letters), so most pack and the final and cluster lookahead is busy,
+# plus free sequences over every letter, a cluster jamo and a non-letter.
+LETTERS = sorted(hc.LETTERS)
+syllable_shapes = st.lists(st.tuples(
+    st.sampled_from(hc.ONSETS), st.sampled_from(hc.VOWELS),
+    st.lists(st.sampled_from(LETTERS), max_size=2).map(tuple),
+).map(lambda t: (t[0], t[1]) + t[2]), max_size=5).map(lambda parts: sum(parts, ()))
+free_letters = st.lists(st.sampled_from(LETTERS + ["ㄳ", "x"]), max_size=10).map(tuple)
+
+
+def packed(compose, letters):
+    try:
+        return compose(letters)
+    except Uncomposable as err:
+        return ("stuck", err.position, err.letters)
+
+
+@settings(max_examples=500)
+@given(st.one_of(syllable_shapes, free_letters))
+def test_compose_matches_the_reference_packer(letters):
+    assert packed(hc.compose, letters) == packed(compose_by_hand, letters)

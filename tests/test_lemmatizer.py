@@ -1,7 +1,7 @@
 import pytest
 
 from koverbs import conjugate, lemmatizer as lm
-from koverbs.errors import NotFound
+from koverbs.errors import NotFound, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +92,30 @@ def test_saved_file_is_sorted_and_deterministic(tmp_path, lexicon, index):
     assert all(len(row) == 5 for row in rows)
     keys = [(r[0], r[1], r[2], int(r[3]), int(r[4])) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_load_index_not_utf8(tmp_path):
+    path = tmp_path / "forms.tsv"
+    path.write_bytes("가\t가\t아\t1\t1\n".encode() + b"\xff\t\n")
+    with pytest.raises(ParseError) as exc:
+        lm.load_index(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 2)
+    assert "not UTF-8: byte 0xff" in str(exc.value)
+
+
+def test_load_index_wrong_field_count(tmp_path):
+    path = tmp_path / "forms.tsv"
+    path.write_text("가\t가\t아\t1\t1\n\n가\t가\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        lm.load_index(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 3)
+    assert "expected 5 tab-separated fields, got 2" in str(exc.value)
+
+
+def test_load_index_class_id_not_an_integer(tmp_path):
+    path = tmp_path / "forms.tsv"
+    path.write_text("가\t가\t아\t1\tx\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        lm.load_index(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 1)
+    assert "'x'" in exc.value.reason
