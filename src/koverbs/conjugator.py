@@ -4,7 +4,7 @@ apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
 conjugate and conjugate_pair do the same arithmetic from the lexicon's
-plan for the stem's classes, which holds each ending's part precomputed.
+plan for the stem's classes; conjugate does it once per shared stem tail.
 """
 
 from dataclasses import dataclass
@@ -54,52 +54,88 @@ def apply_rule(verb_letters, ending_letters, rule):
     return hangul_codec.compose(verb_letters[:stop] + rule.postfix + ending_letters[start:])
 
 
-def _forms(verb_entry, verb_letters, ending_entry, steps):
-    """One plan entry's forms, each with the (verb class, rule) pairs behind it."""
+# Letters behind each syllable-final index: none, one, or a cluster's two.
+_FINAL_LETTERS = tuple(len(hangul_codec.CLUSTER_FINALS.get(f, f)) for f in hangul_codec.FINALS)
+
+
+def _split(stem, reach):
+    """Leading syllables of `stem` before its shortest tail of `reach` letters or more,
+    which pack alike whatever a plan step does to that tail; 0 unless all are syllables."""
+    cut, count = len(stem), 0
+    while cut and count < reach:
+        cut -= 1
+        count += 2 + _FINAL_LETTERS[(ord(stem[cut]) - hangul_codec.SYLLABLE_BASE) % 28]
+    return cut if all(hangul_codec.SYLLABLE_BASE <= ord(ch) <= hangul_codec.SYLLABLE_LAST
+                      for ch in stem) else 0
+
+
+def _forms(verb_entry, prefix, letters, ending_entry, steps):
+    """One plan entry's (text, provenance) forms from the letters of a stem after `prefix`."""
     sources = {}
     for verb_class, rule, verb_stop, tail in steps:
         try:
-            text = hangul_codec.compose(verb_letters[:verb_stop] + tail)
+            text = hangul_codec.compose(letters[:verb_stop] + tail)
         except Uncomposable as err:
+            head = hangul_codec.decompose(prefix)
             raise Uncomposable(
-                err.letters, err.position,
+                head + err.letters, len(head) + err.position,
                 f"stem {verb_entry.surface!r} (verb class {verb_class}) + ending "
                 f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
                 f"rule {ruleset.serialize_rule(rule)}",
             ) from None
         sources.setdefault(text, []).append((verb_class, rule))
-    return tuple(SurfaceForm(text, verb_entry.surface, ending_entry.surface, ending_entry.class_id,
-                             tuple(provenance)) for text, provenance in sources.items())
+    return tuple((text, tuple(provenance)) for text, provenance in sources.items())
 
 
 def _planned(lexicon, verb):
-    """A stem's entry, letters and plan, its slice depth checked once."""
+    """A stem's entry and plan."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
-    verb_letters = hangul_codec.decompose(verb)
-    depth, plan = lexicon._plan(verb_entry.class_ids)
-    if depth > len(verb_letters):
-        raise IndexOutOfBounds("verb", -depth, len(verb_letters))
-    return verb_entry, verb_letters, plan
+    return verb_entry, lexicon._plan(verb_entry.class_ids)
+
+
+def _stem_letters(text, depth):
+    """A stem's letters, or its tail's, checked against the plan's slice depth."""
+    letters = hangul_codec.decompose(text)
+    if depth > len(letters):
+        raise IndexOutOfBounds("verb", -depth, len(letters))
+    return letters
+
+
+def _tail_forms(lexicon, verb):
+    """(prefix, ((EndingEntry, forms), ...)): a stem's paradigm with its leading
+    syllables left off, shared through the lexicon by stems of one class tuple and tail."""
+    verb_entry, (depth, reach, plan) = _planned(lexicon, verb)
+    cut = _split(verb, reach)
+    prefix, key = verb[:cut], (verb_entry.class_ids, verb[cut:])
+    cache = lexicon._tails if cut else {}  # a whole-stem key serves only that stem
+    if key not in cache:
+        letters = _stem_letters(verb[cut:], depth)
+        cache[key] = tuple((entry, _forms(verb_entry, prefix, letters, entry, steps))
+                           for entry, steps in plan)
+    return prefix, cache[key]
 
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    verb_entry, verb_letters, plan = _planned(lexicon, verb)
+    prefix, tail_forms = _tail_forms(lexicon, verb)
     return Paradigm(verb=verb, entries=tuple(
-        (ending_entry, _forms(verb_entry, verb_letters, ending_entry, steps))
-        for ending_entry, steps in plan
+        (entry, tuple(SurfaceForm(prefix + text, verb, entry.surface, entry.class_id, provenance)
+                      for text, provenance in forms))
+        for entry, forms in tail_forms
     ))
 
 
 def conjugate_pair(lexicon, verb, ending):
     """Forms for one (stem, ending) pair; empty when all cells are blank."""
-    verb_entry, verb_letters, plan = _planned(lexicon, verb)
+    verb_entry, (depth, _, plan) = _planned(lexicon, verb)
+    letters = _stem_letters(verb, depth)
     found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
     if not found and all(e.surface != ending for e in lexicon.endings):
         raise NotFound(ending)
     if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
         found.sort(key=lambda item: lexicon.endings.index(item[0]))
-    return [form for entry, steps in found
-            for form in _forms(verb_entry, verb_letters, entry, steps)]
+    return [SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
+            for entry, steps in found
+            for text, provenance in _forms(verb_entry, "", letters, entry, steps)]

@@ -1,15 +1,16 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
-The index is built eagerly by conjugating every stem in scope and
-recording each generated text. Lookup is exact text matching; there is
-no fuzzy matching and no normalization.
+The index is built eagerly from the forms of every stem in scope, read
+from the conjugator's shared tail forms. Lookup is exact text matching;
+there is no fuzzy matching and no normalization.
 """
 
 from dataclasses import dataclass
 
 from . import conjugator
-from .errors import NotFound, ParseError
-from .lexicon import _rows
+from .errors import NotFound
+from .lexicon import _class_id, _rows
+from .ruleset import ENDING_CLASS_COUNT, VERB_CLASS_COUNT
 
 
 @dataclass(frozen=True, order=True)
@@ -44,28 +45,19 @@ class FormIndex:
 
 def build_index(lexicon, verbs=None):
     """Index every form generated over the given stems (default: all)."""
-    if verbs is None:
-        scope = tuple(lexicon.verbs)
-    else:
-        scope = tuple(verbs)
-        for verb in scope:
-            if verb not in lexicon.verbs:
-                raise NotFound(verb)
+    scope = tuple(lexicon.verbs if verbs is None else verbs)
+    for verb in scope:
+        if verb not in lexicon.verbs:
+            raise NotFound(verb)
     collected = {}
     for verb in scope:
-        paradigm = conjugator.conjugate(lexicon, verb)
-        for ending_entry, forms in paradigm.entries:
-            for form in forms:
-                bucket = collected.setdefault(form.text, set())
-                for verb_class, _rule in form.provenance:
-                    bucket.add(
-                        LemmaCandidate(
-                            verb=verb,
-                            ending=ending_entry.surface,
-                            verb_class=verb_class,
-                            ending_class=ending_entry.class_id,
-                        )
-                    )
+        prefix, tail_forms = conjugator._tail_forms(lexicon, verb)
+        for ending_entry, forms in tail_forms:
+            for text, provenance in forms:
+                collected.setdefault(prefix + text, set()).update(
+                    LemmaCandidate(verb, ending_entry.surface, verb_class, ending_entry.class_id)
+                    for verb_class, _rule in provenance
+                )
     index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
     return FormIndex(index, scope)
 
@@ -91,12 +83,9 @@ def load_index(path):
     """Rebuild a FormIndex from a file written by save_index."""
     collected = {}
     for line_no, (text, verb, ending, verb_class, ending_class) in _rows(path, 5):
-        try:
-            classes = int(verb_class), int(ending_class)
-        except ValueError:
-            raise ParseError(path, line_no, f"class ids {verb_class!r}, {ending_class!r} "
-                                            "are not both integers") from None
-        collected.setdefault(text, set()).add(LemmaCandidate(verb, ending, *classes))
+        collected.setdefault(text, set()).add(LemmaCandidate(
+            verb, ending, _class_id(verb_class, VERB_CLASS_COUNT, path, line_no),
+            _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no)))
     index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
     scope = sorted({cand.verb for bucket in index.values() for cand in bucket})
     return FormIndex(index, scope)

@@ -76,9 +76,11 @@ class Lexicon:
         self.template = template
         by_class = {e: [] for e in range(1, ruleset.ENDING_CLASS_COUNT + 1)}
         for entry in self.endings:
+            if entry.class_id not in by_class:
+                raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
             by_class[entry.class_id].append(entry)
         self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        self._plans, self._letters = {}, None
+        self._plans, self._tails, self._letters = {}, {}, None
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
@@ -88,11 +90,12 @@ class Lexicon:
 
     def _plan(self, class_ids):
         """The conjugation plan shared by all stems of these verb classes,
-        compiled on first use: (deepest verb slice, ((EndingEntry, steps), ...))
-        by ending class, then file order, leaving out endings whose cells are
-        all blank. A step is (verb class, rule, verb stop, postfix + the
-        ending's letters from the rule's start); its form is
-        compose(stem letters[:verb stop] + that tail)."""
+        compiled on first use: (deepest verb slice, reach, ((EndingEntry,
+        steps), ...)) by ending class, then file order, without all-blank
+        endings. A step (verb class, rule, verb stop, postfix + ending letters
+        from the rule's start) makes compose(stem letters[:verb stop] + that
+        tail); of a stem's last `reach` letters, it keeps the first, and the
+        second unless that tail starts with a vowel."""
         if class_ids in self._plans:
             return self._plans[class_ids]
         if self._letters is None:
@@ -112,7 +115,9 @@ class Lexicon:
                 entries.append((entry, tuple((c, rule, rule.verb_stop,
                                               rule.postfix + letters[rule.ending_start:])
                                              for c, rule in rules)))
-        plan = self._plans[class_ids] = depth, tuple(entries)
+        reach = max([2] + [-(stop or 0) + (1 if tail and hangul_codec.is_vowel(tail[0]) else 2)
+                           for _, steps in entries for _, _, stop, tail in steps])
+        plan = self._plans[class_ids] = depth, reach, tuple(entries)
         return plan
 
 

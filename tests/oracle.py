@@ -101,3 +101,15 @@ def flatten_paradigm(paradigm):
              [(f.text, tuple(c for c, _ in f.provenance)) for f in forms])
         )
     return rows
+
+
+def index_by_hand(lexicon, verbs=None):
+    """Reference for lemmatizer.build_index, from brute_force alone: each
+    text generated over the stems (default: all) mapped to its sorted
+    (verb, ending, verb class, ending class) candidates."""
+    index = {}
+    for verb in lexicon.verbs if verbs is None else verbs:
+        for ending, ending_class, forms in brute_force(lexicon, verb):
+            for text, classes in forms:
+                index.setdefault(text, set()).update((verb, ending, c, ending_class) for c in classes)
+    return {text: tuple(sorted(candidates)) for text, candidates in index.items()}

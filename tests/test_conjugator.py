@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from koverbs import conjugator as cj
 from koverbs import load_lexicon
 from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
-from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST, compose, decompose
+from koverbs.hangul_codec import (CLUSTER_FINALS, LETTERS, SYLLABLE_BASE, SYLLABLE_LAST,
+                                  compose, decompose)
 from koverbs.lexicon import EndingEntry, Lexicon, VerbEntry
 from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template
 
@@ -228,6 +229,25 @@ def test_uncomposable_names_its_source(lexicon):
     assert exc.value.position == 4
 
 
+def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
+    # 다가나 and 라가나 set aside their first syllable and share the tail 가나,
+    # which verb class 4 cannot conjugate (see above). A failure is not
+    # cached: the second stem's error is its own.
+    both = Lexicon(lexicon.endings, [VerbEntry(s, (4,)) for s in ("다가나", "라가나")],
+                   lexicon.template)
+    alone = Lexicon(lexicon.endings, [VerbEntry("라가나", (4,))], lexicon.template)
+    with pytest.raises(Uncomposable):
+        cj.conjugate(both, "다가나")
+    with pytest.raises(Uncomposable) as shared:
+        cj.conjugate(both, "라가나")
+    with pytest.raises(Uncomposable) as single:
+        cj.conjugate(alone, "라가나")
+    assert "'라가나'" in str(shared.value)
+    assert str(shared.value) == str(single.value)
+    assert (shared.value.letters, shared.value.position) == (single.value.letters,
+                                                             single.value.position)
+
+
 # ---------------------------------------------------------------- oracle spots
 
 def test_merge_by_hand_agrees_on_traces():
@@ -297,3 +317,26 @@ def test_conjugate_pair_matches_oracle_in_file_order(verb, classes, endings, end
                 for f in cj.conjugate_pair(lex, verb, ending)]
 
     assert outcome(got) == outcome(expected)
+
+
+syllables = st.integers(SYLLABLE_BASE, SYLLABLE_LAST).map(chr)
+lone_jamo = st.sampled_from(sorted(LETTERS | set(CLUSTER_FINALS)))
+leading_characters = st.one_of(st.lists(syllables, max_size=3),
+                               st.lists(st.one_of(syllables, lone_jamo), max_size=3)).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=st.one_of(st.sampled_from(sorted(SHIPPED.verbs)),
+                      st.lists(syllables, min_size=1, max_size=2).map("".join)),
+       heads=st.lists(leading_characters, min_size=2, max_size=5, unique=True),
+       classes=class_tuples)
+def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
+    # One lexicon per example, so stems after the first can reuse its tail.
+    stems = [head + tail for head in heads]
+    lex = Lexicon(SHIPPED.endings, [VerbEntry(verb, classes) for verb in stems], SHIPPED.template)
+    first = {}
+    for verb in stems:
+        first[verb] = outcome(lambda: flatten_paradigm(cj.conjugate(lex, verb)))
+        assert first[verb] == outcome(lambda: brute_force(lex, verb))
+    for verb in stems:
+        assert outcome(lambda: flatten_paradigm(cj.conjugate(lex, verb))) == first[verb]

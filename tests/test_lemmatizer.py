@@ -1,7 +1,14 @@
+import random
+from dataclasses import astuple
+
 import pytest
 
 from koverbs import conjugate, lemmatizer as lm
-from koverbs.errors import NotFound, ParseError
+from koverbs.errors import NotFound, ParseError, RangeError
+from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST
+from koverbs.lexicon import Lexicon, VerbEntry
+
+from oracle import index_by_hand
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +126,35 @@ def test_load_index_class_id_not_an_integer(tmp_path):
         lm.load_index(path)
     assert (exc.value.path, exc.value.line) == (str(path), 1)
     assert "'x'" in exc.value.reason
+
+
+@pytest.mark.parametrize("line,value,high", [
+    ("가\t가\t아\t99\t-5\n", 99, 46),
+    ("가\t가\t아\t1\t-5\n", -5, 24),
+], ids=["verb class", "ending class"])
+def test_load_index_class_id_out_of_range(tmp_path, line, value, high):
+    path = tmp_path / "forms.tsv"
+    path.write_text(line, encoding="utf-8")
+    with pytest.raises(RangeError) as exc:
+        lm.load_index(path)
+    assert (exc.value.value, exc.value.low, exc.value.high) == (value, 1, high)
+
+
+def with_leading_syllables(lexicon):
+    """The shipped stems, each three times behind one seeded random
+    syllable, as the benchmark builds its lexicons: stems that differ
+    only in their first syllable share everything after it."""
+    rng = random.Random(1)
+    verbs = [VerbEntry(chr(code) + entry.surface, entry.class_ids)
+             for entry in lexicon.verbs.values()
+             for code in rng.sample(range(SYLLABLE_BASE, SYLLABLE_LAST + 1), 3)]
+    return Lexicon(lexicon.endings, verbs, lexicon.template)
+
+
+@pytest.mark.parametrize("kind", ["shipped", "leading syllables", "scoped"])
+def test_build_index_matches_generate_and_index(lexicon, kind):
+    lex = with_leading_syllables(lexicon) if kind == "leading syllables" else lexicon
+    verbs = sorted(lexicon.verbs)[::4] if kind == "scoped" else None
+    got = lm.build_index(lex, verbs=verbs)
+    assert {text: tuple(map(astuple, candidates)) for text, candidates in got.items()} \
+        == index_by_hand(lex, verbs)

@@ -58,6 +58,12 @@ def test_endings_of_class_range_check(lexicon):
         lexicon.endings_of_class(25)
 
 
+def test_lexicon_rejects_an_ending_class_out_of_range(lexicon):
+    with pytest.raises(RangeError) as exc:
+        lx.Lexicon([lx.EndingEntry("고", 30)], [], lexicon.template)
+    assert (exc.value.value, exc.value.low, exc.value.high) == (30, 1, 24)
+
+
 def test_shipped_data_validates_clean(lexicon, expectations):
     assert lx.validate(lexicon, expectations) == []
 
