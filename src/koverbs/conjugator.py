@@ -4,7 +4,8 @@ apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
 conjugate and conjugate_pair do the same arithmetic from the lexicon's
-plan for the stem's classes; conjugate does it once per shared stem tail.
+plan for the stem's classes, on the stem's tail after its leading
+syllables; _stem_forms shares each tail's forms across a run of stems.
 """
 
 from dataclasses import dataclass
@@ -103,23 +104,41 @@ def _stem_letters(text, depth):
     return letters
 
 
-def _tail_forms(lexicon, verb):
+_TAILS_KEPT = 256  # (class tuple, tail text) keys; 256 tail paradigms are about 2 MB
+
+
+def _tail_forms(lexicon, verb, tails):
     """(prefix, ((EndingEntry, forms), ...)): a stem's paradigm with its leading
-    syllables left off, shared through the lexicon by stems of one class tuple and tail."""
+    syllables left off. `tails` notes the last _TAILS_KEPT keys asked for, and
+    keeps a tail's forms from its second stem on, for the stems after."""
     verb_entry, (depth, reach, plan) = _planned(lexicon, verb)
     cut = _split(verb, reach)
     prefix, key = verb[:cut], (verb_entry.class_ids, verb[cut:])
-    cache = lexicon._tails if cut else {}  # a whole-stem key serves only that stem
-    if key not in cache:
+    seen = cut and key in tails  # a whole-stem key serves only that stem
+    tail_forms = tails.pop(key) if seen else None
+    if tail_forms is None:
         letters = _stem_letters(verb[cut:], depth)
-        cache[key] = tuple((entry, _forms(verb_entry, prefix, letters, entry, steps))
+        tail_forms = tuple((entry, _forms(verb_entry, prefix, letters, entry, steps))
                            for entry, steps in plan)
-    return prefix, cache[key]
+    if cut:
+        tails[key] = tail_forms if seen else None  # the key asked for last goes last
+        if len(tails) > _TAILS_KEPT:
+            del tails[next(iter(tails))]
+    return prefix, tail_forms
+
+
+def _stem_forms(lexicon, verb, tails):
+    """(text, EndingEntry, provenance) for each form of one stem, sharing its tail's
+    forms with the other stems of its class tuple and tail passed the same `tails`."""
+    prefix, tail_forms = _tail_forms(lexicon, verb, tails)
+    for entry, forms in tail_forms:
+        for text, provenance in forms:
+            yield prefix + text, entry, provenance
 
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    prefix, tail_forms = _tail_forms(lexicon, verb)
+    prefix, tail_forms = _tail_forms(lexicon, verb, {})
     return Paradigm(verb=verb, entries=tuple(
         (entry, tuple(SurfaceForm(prefix + text, verb, entry.surface, entry.class_id, provenance)
                       for text, provenance in forms))

@@ -49,15 +49,13 @@ def build_index(lexicon, verbs=None):
     for verb in scope:
         if verb not in lexicon.verbs:
             raise NotFound(verb)
-    collected = {}
+    collected, tails = {}, {}
     for verb in scope:
-        prefix, tail_forms = conjugator._tail_forms(lexicon, verb)
-        for ending_entry, forms in tail_forms:
-            for text, provenance in forms:
-                collected.setdefault(prefix + text, set()).update(
-                    LemmaCandidate(verb, ending_entry.surface, verb_class, ending_entry.class_id)
-                    for verb_class, _rule in provenance
-                )
+        for text, ending_entry, provenance in conjugator._stem_forms(lexicon, verb, tails):
+            collected.setdefault(text, set()).update(
+                LemmaCandidate(verb, ending_entry.surface, verb_class, ending_entry.class_id)
+                for verb_class, _rule in provenance
+            )
     index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
     return FormIndex(index, scope)
 

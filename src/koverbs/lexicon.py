@@ -80,7 +80,7 @@ class Lexicon:
                 raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
             by_class[entry.class_id].append(entry)
         self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        self._plans, self._tails, self._letters = {}, {}, None
+        self._plans, self._letters = {}, None
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
@@ -115,7 +115,10 @@ class Lexicon:
                 entries.append((entry, tuple((c, rule, rule.verb_stop,
                                               rule.postfix + letters[rule.ending_start:])
                                              for c, rule in rules)))
-        reach = max([2] + [-(stop or 0) + (1 if tail and hangul_codec.is_vowel(tail[0]) else 2)
+        # A stop of 0 or more (only a hand-built Template holds one) counts from
+        # the stem's head, so no leading syllables can be set aside.
+        reach = max([2] + [float("inf") if stop is not None and stop >= 0 else
+                           -(stop or 0) + (1 if tail and hangul_codec.is_vowel(tail[0]) else 2)
                            for _, steps in entries for _, _, stop, tail in steps])
         plan = self._plans[class_ids] = depth, reach, tuple(entries)
         return plan

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from koverbs import load_lexicon
 from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
 from koverbs.hangul_codec import (CLUSTER_FINALS, LETTERS, SYLLABLE_BASE, SYLLABLE_LAST,
                                   compose, decompose)
+from koverbs.lemmatizer import build_index
 from koverbs.lexicon import EndingEntry, Lexicon, VerbEntry
 from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template
 
 from conftest import shipped_paths
-from oracle import brute_force, flatten_paradigm, merge_by_hand
+from oracle import brute_force, flatten_paradigm, index_by_hand, merge_by_hand
 
 # Worked out by hand, one step per field: decompose both sides,
 # slice the verb from the tail, slice the ending from the head, splice
@@ -216,6 +218,23 @@ def test_stem_shorter_than_its_plan_slices():
         assert (exc.value.which, exc.value.index, exc.value.length) == ("verb", -3, 2)
 
 
+def test_stops_from_the_stem_head_set_no_syllables_aside():
+    # parse_rule takes only negative stops, but a hand-built Template may
+    # hold 0 or 1, which keep letters from the stem's head: no leading
+    # syllables can be set aside, and each form is apply_rule's. The two
+    # stems share the tail 가다, and build_index reads them in one run.
+    rules = {1: Rule(0, (), None), 2: Rule(1, ("ㅏ",), None), 3: Rule(-1, (), None)}
+    template = Template({(c, 1): rule for c, rule in rules.items()})
+    stems = ("다가다", "라가다")
+    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry(s, (1, 2, 3)) for s in stems], template)
+    for verb in stems:
+        expected = {cj.apply_rule(decompose(verb), decompose("고"), r) for r in rules.values()}
+        [(_, forms)] = cj.conjugate(lex, verb).entries
+        assert {f.text for f in forms} == expected
+        assert {f.text for f in cj.conjugate_pair(lex, verb, "고")} == expected
+    assert {text for text, _ in build_index(lex).items()} == {"고", "다고", "라고", "다갇고", "라갇고"}
+
+
 def test_uncomposable_names_its_source(lexicon):
     # 가나 loads in verb class 4 (slice depth is fine), but class 4 keeps
     # the stem whole, and 가나 + 아야 under rule None,,1 packs as
@@ -231,8 +250,8 @@ def test_uncomposable_names_its_source(lexicon):
 
 def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
     # 다가나 and 라가나 set aside their first syllable and share the tail 가나,
-    # which verb class 4 cannot conjugate (see above). A failure is not
-    # cached: the second stem's error is its own.
+    # which verb class 4 cannot conjugate (see above). The second stem's
+    # error is its own, and build_index stops at the first stem in scope.
     both = Lexicon(lexicon.endings, [VerbEntry(s, (4,)) for s in ("다가나", "라가나")],
                    lexicon.template)
     alone = Lexicon(lexicon.endings, [VerbEntry("라가나", (4,))], lexicon.template)
@@ -246,6 +265,25 @@ def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
     assert str(shared.value) == str(single.value)
     assert (shared.value.letters, shared.value.position) == (single.value.letters,
                                                              single.value.position)
+    with pytest.raises(Uncomposable) as indexed:
+        build_index(both, verbs=("라가나", "다가나"))
+    assert str(indexed.value) == str(single.value)
+
+
+def test_a_run_of_stems_keeps_a_bounded_number_of_tails():
+    # 512 one-syllable tails, each behind three leading syllables in a row,
+    # then one more tail: the second stem of a tail keeps its forms for the
+    # third, a tail asked for once keeps none, and only the last
+    # _TAILS_KEPT tails asked for stay.
+    template = Template({(1, 1): IDENTITY_RULE})
+    stems = [head + chr(SYLLABLE_BASE + 7 * k) for k in range(2 * cj._TAILS_KEPT) for head in "가나다"]
+    stems.append("가" + chr(SYLLABLE_BASE + 7 * 2 * cj._TAILS_KEPT))
+    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry(s, (1,)) for s in stems], template)
+    tails = {}
+    for verb in stems:
+        assert [text for text, _, _ in cj._stem_forms(lex, verb, tails)] == [verb + "고"]
+        assert len(tails) <= cj._TAILS_KEPT
+    assert [forms is None for forms in tails.values()] == [False] * (cj._TAILS_KEPT - 1) + [True]
 
 
 # ---------------------------------------------------------------- oracle spots
@@ -331,7 +369,8 @@ leading_characters = st.one_of(st.lists(syllables, max_size=3),
        heads=st.lists(leading_characters, min_size=2, max_size=5, unique=True),
        classes=class_tuples)
 def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
-    # One lexicon per example, so stems after the first can reuse its tail.
+    # One lexicon per example; build_index reads every stem in one run, so
+    # stems after the first reuse its tail's forms.
     stems = [head + tail for head in heads]
     lex = Lexicon(SHIPPED.endings, [VerbEntry(verb, classes) for verb in stems], SHIPPED.template)
     first = {}
@@ -340,3 +379,6 @@ def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
         assert first[verb] == outcome(lambda: brute_force(lex, verb))
     for verb in stems:
         assert outcome(lambda: flatten_paradigm(cj.conjugate(lex, verb))) == first[verb]
+    assert outcome(lambda: {text: tuple(map(astuple, candidates))
+                            for text, candidates in build_index(lex).items()}) \
+        == outcome(lambda: index_by_hand(lex))
