@@ -84,8 +84,8 @@ def _forms(verb_entry, prefix, letters, ending_entry, steps):
                 f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
                 f"rule {ruleset.serialize_rule(rule)}",
             ) from None
-        sources.setdefault(text, []).append((verb_class, rule))
-    return tuple((text, tuple(provenance)) for text, provenance in sources.items())
+        sources[text] = sources.get(text, ()) + ((verb_class, rule),)
+    return tuple(sources.items())
 
 
 def _planned(lexicon, verb):

@@ -49,14 +49,16 @@ def build_index(lexicon, verbs=None):
     for verb in scope:
         if verb not in lexicon.verbs:
             raise NotFound(verb)
-    collected, tails = {}, {}
+    index, tails = {}, {}
     for verb in scope:
-        for text, ending_entry, provenance in conjugator._stem_forms(lexicon, verb, tails):
-            collected.setdefault(text, set()).update(
-                LemmaCandidate(verb, ending_entry.surface, verb_class, ending_entry.class_id)
-                for verb_class, _rule in provenance
-            )
-    index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
+        for text, entry, provenance in conjugator._stem_forms(lexicon, verb, tails):
+            known = index.get(text)
+            if known is None and len(provenance) == 1:  # nearly every text: stored as found
+                index[text] = (LemmaCandidate(verb, entry.surface, provenance[0][0], entry.class_id),)
+            else:
+                found = [LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
+                         for verb_class, _rule in provenance]
+                index[text] = tuple(sorted({*(known or ()), *found}))
     return FormIndex(index, scope)
 
 

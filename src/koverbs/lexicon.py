@@ -158,6 +158,8 @@ def _class_id(raw, high, path, line_no):
 
 
 def _letter_count(surface, path, line_no):
+    if not surface:
+        raise ParseError(path, line_no, "empty surface")
     try:
         return len(hangul_codec.decompose(surface))
     except NonHangulInput as err:
@@ -174,23 +176,21 @@ def _load_endings(path):
 
 
 def _load_verbs(path):
-    entries = []
-    seen = set()
+    entries = {}
     for line_no, (surface, raw_classes) in _rows(path, 2):
-        if surface in seen:
+        if surface in entries:
             raise DuplicateVerb(surface)
-        seen.add(surface)
+        if not raw_classes:
+            raise ParseError(path, line_no, "no class ids")
         class_ids = []
         for piece in raw_classes.split(","):
             class_id = _class_id(piece, ruleset.VERB_CLASS_COUNT, path, line_no)
             if class_id in class_ids:
                 raise ParseError(path, line_no, f"class id {class_id} repeated")
             class_ids.append(class_id)
-        if not class_ids:
-            raise ParseError(path, line_no, "no class ids")
         length = _letter_count(surface, path, line_no)
-        entries.append((line_no, length, VerbEntry(surface, tuple(class_ids))))
-    return entries
+        entries[surface] = line_no, length, VerbEntry(surface, tuple(class_ids))
+    return entries.values()
 
 
 def _slice_needs(template):

@@ -81,11 +81,9 @@ class Template:
     __slots__ = ("_cells",)
 
     def __init__(self, cells):
-        checked = {}
-        for (verb_class, ending_class), rule in dict(cells).items():
+        self._cells = dict(cells)
+        for verb_class, ending_class in self._cells:
             _check_class_ids(verb_class, ending_class)
-            checked[(verb_class, ending_class)] = rule
-        self._cells = checked
 
     def lookup(self, verb_class, ending_class):
         """Return the Rule for a cell, or None when the cell is blank."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -244,6 +245,15 @@ def test_validate_malformed_template_cell(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_validate_empty_surface(tmp_path, capsys):
+    endings = ENDINGS_PATH.read_text(encoding="utf-8") + "\t1\n"
+    data = seed_dir(tmp_path, endings=endings)
+    code, out, err = run_cli(["--data-dir", str(data), "validate"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {data / 'endings.tsv'}:{len(endings.splitlines())}: empty surface\n"
+
+
 def test_missing_data_dir(tmp_path, capsys):
     code, out, err = run_cli(
         ["--data-dir", str(tmp_path / "nowhere"), "conjugate", "가"], capsys)
@@ -402,10 +412,17 @@ def test_cli_fuzz_exits_cleanly(capsys, fmt, command, first, second, scope):
 
 # ---------------------------------------------------------------- subprocess
 
+def child_env(**extra):
+    """The environment for a `python -m koverbs.cli` child that imports the
+    package under test, whether it is installed or found through pythonpath."""
+    found = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, found)), **extra)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "koverbs.cli", "--format", "tsv", "pair", "그렇", "어야"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "3\t어야\t그래야\t8\t-2,ㅐ,2"
@@ -414,7 +431,7 @@ def test_module_entry_point():
 def test_argument_not_utf8_under_a_strict_stdout():
     # "\udcff" reaches the child as the byte 0xff, which Python decodes
     # to a lone surrogate; PYTHONIOENCODING=utf-8 makes stdout strict.
-    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env = child_env(PYTHONIOENCODING="utf-8")
     for fmt in ("table", "json", "tsv"):
         proc = subprocess.run(
             [sys.executable, "-m", "koverbs.cli", "--format", fmt, "lemmatize", "\udcff"],

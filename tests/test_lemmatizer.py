@@ -151,10 +151,22 @@ def with_leading_syllables(lexicon):
     return Lexicon(lexicon.endings, verbs, lexicon.template)
 
 
-@pytest.mark.parametrize("kind", ["shipped", "leading syllables", "scoped"])
+def with_ending_repeated(lexicon):
+    """The shipped lexicon with one ending line listed twice: each text
+    it makes arrives twice and must keep one copy of each candidate."""
+    endings = list(lexicon.endings)
+    endings.insert(3, endings[2])
+    return Lexicon(endings, lexicon.verbs.values(), lexicon.template)
+
+
+@pytest.mark.parametrize("kind", ["shipped", "leading syllables", "scoped",
+                                  "stem repeated", "ending repeated"])
 def test_build_index_matches_generate_and_index(lexicon, kind):
-    lex = with_leading_syllables(lexicon) if kind == "leading syllables" else lexicon
-    verbs = sorted(lexicon.verbs)[::4] if kind == "scoped" else None
+    lex = {"leading syllables": with_leading_syllables,
+           "ending repeated": with_ending_repeated}.get(kind, lambda lex: lex)(lexicon)
+    verbs = {"scoped": sorted(lexicon.verbs)[::4],
+             "stem repeated": ["모르", "그렇", "모르"]}.get(kind)
     got = lm.build_index(lex, verbs=verbs)
-    assert {text: tuple(map(astuple, candidates)) for text, candidates in got.items()} \
-        == index_by_hand(lex, verbs)
+    # In order: both insert each text where it is first generated.
+    assert [(text, tuple(map(astuple, candidates))) for text, candidates in got.items()] \
+        == list(index_by_hand(lex, verbs).items())

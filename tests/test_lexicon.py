@@ -99,6 +99,22 @@ def test_verb_class_not_integer(tmp_path):
         lx.load(*write_data(tmp_path, verbs="가\ttwenty\n"))
 
 
+def test_verb_without_class_ids(tmp_path):
+    with pytest.raises(ParseError) as exc:
+        lx.load(*write_data(tmp_path, verbs="가\t29\n가나\t\n"))
+    assert (exc.value.line, exc.value.reason) == (2, "no class ids")
+
+
+@pytest.mark.parametrize("name", ["endings", "verbs"])
+def test_empty_surface(tmp_path, name):
+    # Class 1 rules slice nothing, so only the surface itself can be refused.
+    paths = write_data(tmp_path, **{name: "가\t1\n\t1\n"})
+    with pytest.raises(ParseError) as exc:
+        lx.load(*paths)
+    assert (exc.value.path, exc.value.line, exc.value.reason) == \
+        (str(tmp_path / f"{name}.tsv"), 2, "empty surface")
+
+
 def test_verb_class_repeated(tmp_path):
     with pytest.raises(ParseError) as exc:
         lx.load(*write_data(tmp_path, verbs="가\t29,29\n"))
