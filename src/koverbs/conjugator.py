@@ -4,8 +4,9 @@ apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
 conjugate and conjugate_pair do the same arithmetic from the lexicon's
-plan for the stem's classes, on the stem's tail after its leading
-syllables; _stem_forms shares each tail's forms across a run of stems.
+plan for the stem's classes, whose steps hold each ending side packed,
+on the stem's tail after its leading syllables, repacking only the
+junction; _stem_forms shares each tail's forms across a run of stems.
 """
 
 from dataclasses import dataclass
@@ -70,20 +71,24 @@ def _split(stem, reach):
                       for ch in stem) else 0
 
 
-def _forms(verb_entry, prefix, letters, ending_entry, steps):
-    """One plan entry's (text, provenance) forms from the letters of a stem after `prefix`."""
+def _forms(verb_entry, prefix, letters, ending_entry, steps, junctions):
+    """One plan entry's (text, provenance) forms from the letters of a stem after
+    `prefix`; `junctions` keeps this stem's packed letters[:stop] + head by (stop, head)."""
     sources = {}
-    for verb_class, rule, verb_stop, tail in steps:
-        try:
-            text = hangul_codec.compose(letters[:verb_stop] + tail)
-        except Uncomposable as err:
-            head = hangul_codec.decompose(prefix)
-            raise Uncomposable(
-                head + err.letters, len(head) + err.position,
-                f"stem {verb_entry.surface!r} (verb class {verb_class}) + ending "
-                f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
-                f"rule {ruleset.serialize_rule(rule)}",
-            ) from None
+    for verb_class, rule, verb_stop, head, rest in steps:
+        junction = junctions.get((verb_stop, head))
+        if junction is None:
+            try:
+                junction = junctions[verb_stop, head] = hangul_codec.compose(letters[:verb_stop] + head)
+            except Uncomposable as err:  # the whole tail gets stuck where its head does
+                lead = hangul_codec.decompose(prefix)
+                raise Uncomposable(
+                    lead + err.letters + hangul_codec.decompose(rest), len(lead) + err.position,
+                    f"stem {verb_entry.surface!r} (verb class {verb_class}) + ending "
+                    f"{ending_entry.surface!r} (ending class {ending_entry.class_id}), "
+                    f"rule {ruleset.serialize_rule(rule)}",
+                ) from None
+        text = junction + rest
         sources[text] = sources.get(text, ()) + ((verb_class, rule),)
     return tuple(sources.items())
 
@@ -117,8 +122,8 @@ def _tail_forms(lexicon, verb, tails):
     seen = cut and key in tails  # a whole-stem key serves only that stem
     tail_forms = tails.pop(key) if seen else None
     if tail_forms is None:
-        letters = _stem_letters(verb[cut:], depth)
-        tail_forms = tuple((entry, _forms(verb_entry, prefix, letters, entry, steps))
+        letters, junctions = _stem_letters(verb[cut:], depth), {}
+        tail_forms = tuple((entry, _forms(verb_entry, prefix, letters, entry, steps, junctions))
                            for entry, steps in plan)
     if cut:
         tails[key] = tail_forms if seen else None  # the key asked for last goes last
@@ -149,7 +154,7 @@ def conjugate(lexicon, verb):
 def conjugate_pair(lexicon, verb, ending):
     """Forms for one (stem, ending) pair; empty when all cells are blank."""
     verb_entry, (depth, _, plan) = _planned(lexicon, verb)
-    letters = _stem_letters(verb, depth)
+    letters, junctions = _stem_letters(verb, depth), {}
     found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
     if not found and all(e.surface != ending for e in lexicon.endings):
         raise NotFound(ending)
@@ -157,4 +162,4 @@ def conjugate_pair(lexicon, verb, ending):
         found.sort(key=lambda item: lexicon.endings.index(item[0]))
     return [SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
             for entry, steps in found
-            for text, provenance in _forms(verb_entry, "", letters, entry, steps)]
+            for text, provenance in _forms(verb_entry, "", letters, entry, steps, junctions)]

@@ -81,11 +81,11 @@ def save_index(index, path):
 
 def load_index(path):
     """Rebuild a FormIndex from a file written by save_index."""
-    collected = {}
+    index = {}
     for line_no, (text, verb, ending, verb_class, ending_class) in _rows(path, 5):
-        collected.setdefault(text, set()).add(LemmaCandidate(
-            verb, ending, _class_id(verb_class, VERB_CLASS_COUNT, path, line_no),
-            _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no)))
-    index = {text: tuple(sorted(bucket)) for text, bucket in collected.items()}
+        found = LemmaCandidate(verb, ending, _class_id(verb_class, VERB_CLASS_COUNT, path, line_no),
+                               _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no))
+        known = index.get(text)  # as in build_index: a new text's one candidate is stored as read
+        index[text] = (found,) if known is None else tuple(sorted({*known, found}))
     scope = sorted({cand.verb for bucket in index.values() for cand in bucket})
     return FormIndex(index, scope)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hangul_codec, ruleset
-from .errors import DuplicateVerb, IndexOutOfBounds, NonHangulInput, ParseError, RangeError
+from .errors import (DuplicateVerb, IndexOutOfBounds, NonHangulInput, ParseError, RangeError,
+                     Uncomposable)
 
 ENDINGS_FILE = "endings.tsv"
 VERBS_FILE = "verbs.tsv"
@@ -80,7 +81,7 @@ class Lexicon:
                 raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
             by_class[entry.class_id].append(entry)
         self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        self._plans, self._letters = {}, None
+        self._plans, self._letters, self._packs = {}, None, {}
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
@@ -92,10 +93,12 @@ class Lexicon:
         """The conjugation plan shared by all stems of these verb classes,
         compiled on first use: (deepest verb slice, reach, ((EndingEntry,
         steps), ...)) by ending class, then file order, without all-blank
-        endings. A step (verb class, rule, verb stop, postfix + ending letters
-        from the rule's start) makes compose(stem letters[:verb stop] + that
-        tail); of a stem's last `reach` letters, it keeps the first, and the
-        second unless that tail starts with a vowel."""
+        endings. A step (verb class, rule, verb stop, head letters, rest text)
+        makes compose(stem letters[:verb stop] + head) + rest, which is
+        compose(stem letters[:verb stop] + tail) for its tail of postfix +
+        ending letters from the rule's start (see _pack_rest); of a stem's
+        last `reach` letters, it keeps the first, and the second unless that
+        tail starts with a vowel."""
         if class_ids in self._plans:
             return self._plans[class_ids]
         if self._letters is None:
@@ -120,8 +123,26 @@ class Lexicon:
         reach = max([2] + [float("inf") if stop is not None and stop >= 0 else
                            -(stop or 0) + (1 if tail and hangul_codec.is_vowel(tail[0]) else 2)
                            for _, steps in entries for _, _, stop, tail in steps])
-        plan = self._plans[class_ids] = depth, reach, tuple(entries)
+        for tail in {tail for _, steps in entries for *_, tail in steps} - self._packs.keys():
+            self._packs[tail] = _pack_rest(tail)  # each distinct tail once per lexicon
+        plan = self._plans[class_ids] = depth, reach, tuple(
+            (entry, tuple((c, rule, stop, *self._packs[tail]) for c, rule, stop, tail in steps))
+            for entry, steps in entries)
         return plan
+
+
+def _pack_rest(tail):
+    """(head, rest): `tail` cut at its first consonant+vowel pair, the letters from
+    there packed as text; (tail, "") when there is no such pair or they cannot pack.
+    A consonant right before a vowel always starts a syllable, so for any letters,
+    compose(letters + tail) is compose(letters + head) + rest, and gets stuck
+    where compose(letters + head) does."""
+    cut = next((i for i in range(len(tail) - 1) if hangul_codec.is_consonant(tail[i])
+                and hangul_codec.is_vowel(tail[i + 1])), len(tail))
+    try:
+        return tail[:cut], hangul_codec.compose(tail[cut:])
+    except Uncomposable:
+        return tail, ""
 
 
 def default_data_dir():
@@ -148,10 +169,9 @@ def _rows(path, width):
 
 
 def _class_id(raw, high, path, line_no):
-    try:
-        class_id = int(raw)
-    except ValueError:
-        raise ParseError(path, line_no, f"class id {raw!r} is not an integer") from None
+    class_id = ruleset._integer(raw)
+    if class_id is None:
+        raise ParseError(path, line_no, f"class id {raw!r} is not an integer")
     if not 1 <= class_id <= high:
         raise RangeError(class_id, 1, high)
     return class_id

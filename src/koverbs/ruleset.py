@@ -27,6 +27,12 @@ class Rule:
 IDENTITY_RULE = Rule(None, (), None)
 
 
+def _integer(raw):
+    """The value of ASCII digits after at most one "-", else None: int() would
+    also take other scripts' digits, underscores and surrounding spaces."""
+    return int(raw) if raw.isascii() and raw.removeprefix("-").isdigit() else None
+
+
 def parse_rule(text):
     """Parse a 3-field rule string like "-2,ㅐ,2" into a Rule."""
     fields = text.split(",")
@@ -37,10 +43,9 @@ def parse_rule(text):
     if raw_stop == "None":
         verb_stop = None
     else:
-        try:
-            verb_stop = int(raw_stop)
-        except ValueError:
-            raise MalformedRule(text, f"verb stop {raw_stop!r} is not an integer") from None
+        verb_stop = _integer(raw_stop)
+        if verb_stop is None:
+            raise MalformedRule(text, f"verb stop {raw_stop!r} is not an integer")
         if verb_stop >= 0:
             raise MalformedRule(text, "verb stop must be negative")
 
@@ -51,10 +56,9 @@ def parse_rule(text):
     if raw_start == "None":
         ending_start = None
     else:
-        try:
-            ending_start = int(raw_start)
-        except ValueError:
-            raise MalformedRule(text, f"ending start {raw_start!r} is not an integer") from None
+        ending_start = _integer(raw_start)
+        if ending_start is None:
+            raise MalformedRule(text, f"ending start {raw_start!r} is not an integer")
         if ending_start < 1:
             raise MalformedRule(text, "ending start must be positive")
 

@@ -248,6 +248,43 @@ def test_uncomposable_names_its_source(lexicon):
     assert exc.value.position == 4
 
 
+def test_the_plan_packs_each_ending_side_once():
+    # A step's tail is cut at its first consonant+vowel pair, and the letters
+    # from there are packed when the plan compiles; a tail with no such pair,
+    # or whose letters from it cannot pack, stays whole.
+    tails = {"고": ((), "고"), "ㄴ다": (("ㄴ",), "다"), "ㅏ다": (("ㅏ",), "다"), "ㄴ": (("ㄴ",), ""),
+             "다ㅏ": (("ㄷ", "ㅏ", "ㅏ"), ""), "ㅏ다ㅏ고": (("ㅏ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")}
+    template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㅓ",), 1)})
+    lex = Lexicon([EndingEntry(e, 1) for e in tails], [], template)
+    _, _, plan = lex._plan((1, 2))
+    assert [(entry.surface, steps[0][3:]) for entry, steps in plan] == list(tails.items())
+    # Class 2's tail is its postfix ㅓ and the ending's letters after the first.
+    assert [steps[1][3:] for _, steps in plan] == [
+        (("ㅓ", "ㅗ"), ""), (("ㅓ",), "다"), (("ㅓ",), "다"), (("ㅓ",), ""), (("ㅓ", "ㅏ", "ㅏ"), ""),
+        (("ㅓ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")]
+
+
+@pytest.mark.parametrize("ending", ["다ㅏ", "ㅏ다"])
+@pytest.mark.parametrize("stem", ["가", "나가", "ㄴ가"])
+def test_an_ending_side_that_cannot_pack_fails_as_apply_rule_does(stem, ending):
+    # 다ㅏ's letters from its consonant+vowel pair cannot pack, so the step keeps
+    # them all as its head; ㅏ다 packs 다 at compile time, and the form gets stuck
+    # on the stem + ㅏ before it. Either way the error is apply_rule's on the
+    # whole letters, whether or not the stem sets a leading syllable aside.
+    lex = Lexicon([EndingEntry(ending, 1)], [VerbEntry(stem, (1,))],
+                  Template({(1, 1): IDENTITY_RULE}))
+    with pytest.raises(Uncomposable) as direct:
+        cj.apply_rule(decompose(stem), decompose(ending), IDENTITY_RULE)
+    for call in (lambda: cj.conjugate(lex, stem), lambda: cj.conjugate_pair(lex, stem, ending),
+                 lambda: build_index(lex)):
+        with pytest.raises(Uncomposable) as exc:
+            call()
+        assert (exc.value.letters, exc.value.position) == (direct.value.letters,
+                                                           direct.value.position)
+        assert str(exc.value) == f"{exc.value.source}: {direct.value}"
+        assert f"stem {stem!r} (verb class 1) + ending {ending!r}" in exc.value.source
+
+
 def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
     # 다가나 and 라가나 set aside their first syllable and share the tail 가나,
     # which verb class 4 cannot conjugate (see above). The second stem's

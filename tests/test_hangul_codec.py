@@ -131,3 +131,26 @@ def packed(compose, letters):
 @given(st.one_of(syllable_shapes, free_letters))
 def test_compose_matches_the_reference_packer(letters):
     assert packed(hc.compose, letters) == packed(compose_by_hand, letters)
+
+
+# Letters that open with a consonant and a vowel, then anything.
+syllable_start = st.tuples(st.sampled_from(hc.ONSETS), st.sampled_from(hc.VOWELS),
+                           st.one_of(syllable_shapes, free_letters)).map(lambda t: t[:2] + t[2])
+
+
+@pytest.mark.parametrize("compose", [hc.compose, compose_by_hand], ids=["compose", "by_hand"])
+@settings(max_examples=500)
+@given(head=st.one_of(syllable_shapes, free_letters), rest=syllable_start)
+def test_packing_splits_before_a_consonant_and_vowel(compose, head, rest):
+    # A consonant right before a vowel always starts a syllable, so the plan
+    # packs an ending's letters from there once and a form packs only the
+    # letters before them: the whole packs as its two parts, or gets stuck
+    # where the first part does, or else where the second part does.
+    first, second = packed(compose, head), packed(compose, rest)
+    if isinstance(first, tuple):
+        expected = ("stuck", first[1], head + rest)
+    elif isinstance(second, tuple):
+        expected = ("stuck", len(head) + second[1], head + rest)
+    else:
+        expected = first + second
+    assert packed(compose, head + rest) == expected

@@ -88,6 +88,22 @@ def test_save_load_round_trip(tmp_path, index):
     assert dict(reloaded.items()) == dict(index.items())
 
 
+def test_load_index_merges_unsorted_and_repeated_rows(tmp_path, index):
+    # A file save_index did not write: rows shuffled, one in seven twice. Each
+    # text keeps its first-seen place and its distinct candidates, sorted.
+    rows = [(text, c.verb, c.ending, c.verb_class, c.ending_class)
+            for text, candidates in index.items() for c in candidates]
+    rows += rows[::7]
+    random.Random(3).shuffle(rows)
+    path = tmp_path / "forms.tsv"
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    collected = {}
+    for text, *fields in rows:
+        collected.setdefault(text, set()).add(lm.LemmaCandidate(*fields))
+    assert list(lm.load_index(path).items()) == [(text, tuple(sorted(bucket)))
+                                                 for text, bucket in collected.items()]
+
+
 def test_saved_file_is_sorted_and_deterministic(tmp_path, lexicon, index):
     first = tmp_path / "a.tsv"
     second = tmp_path / "b.tsv"

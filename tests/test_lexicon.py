@@ -99,6 +99,21 @@ def test_verb_class_not_integer(tmp_path):
         lx.load(*write_data(tmp_path, verbs="가\ttwenty\n"))
 
 
+# int() would take each of these; only ASCII digits after at most one "-" are ids.
+@pytest.mark.parametrize("name,surface,raw", [
+    ("verbs", "가", "2_9"),
+    ("verbs", "가", " 29"),
+    ("verbs", "가", "+29"),
+    ("endings", "고", "١"),
+    ("endings", "고", " ３ "),
+    ("endings", "고", "1\u3000"),
+])
+def test_class_id_not_ascii_digits(tmp_path, name, surface, raw):
+    with pytest.raises(ParseError) as exc:
+        lx.load(*write_data(tmp_path, **{name: f"{surface}\t{raw}\n"}))
+    assert (exc.value.line, exc.value.reason) == (1, f"class id {raw!r} is not an integer")
+
+
 def test_verb_without_class_ids(tmp_path):
     with pytest.raises(ParseError) as exc:
         lx.load(*write_data(tmp_path, verbs="가\t29\n가나\t\n"))
@@ -187,6 +202,9 @@ def test_load_expectations_shape(expectations):
     ("verb\t8\tends-with-ㅎ\tyes", ParseError),
     ("verb\t47\tends-with-ㅎ\ttrue", RangeError),
     ("ending\t25\tstarts-with-vowel\ttrue", RangeError),
+    ("verb\t8_0\tends-with-ㅎ\ttrue", ParseError),
+    ("verb\t８\tends-with-ㅎ\ttrue", ParseError),
+    ("ending\t 2\tstarts-with-vowel\ttrue", ParseError),
 ])
 def test_load_expectations_errors(tmp_path, line, err):
     path = tmp_path / "expectations.tsv"

@@ -49,6 +49,13 @@ def test_serialize_rule():
     ("-2,ㅐ,-1", "positive"),
     ("abc,ㅐ,2", "not an integer"),
     ("-2,ㅐ,abc", "not an integer"),
+    # int() would take these; serialize_rule would not give them back.
+    ("-1_0,,1", "not an integer"),
+    ("-1,,٢", "not an integer"),
+    ("-１,,1", "not an integer"),
+    (" -1,,1", "not an integer"),
+    ("-1,,1 ", "not an integer"),
+    ("-1,,+1", "not an integer"),
 ])
 def test_parse_rule_rejects(text, reason_piece):
     with pytest.raises(MalformedRule) as exc:
