@@ -89,10 +89,11 @@ class NotFound(KoverbsError):
 class IndexOutOfBounds(KoverbsError):
     """A rule slice index that reaches past the sequence it slices."""
 
-    def __init__(self, which, index, length):
-        super().__init__(
-            f"{which} slice index {index} out of bounds for {length} letters"
-        )
+    def __init__(self, which, index, length, source=None):
+        message = f"{which} slice index {index} out of bounds for {length} letters"
+        super().__init__(f"{source}: {message}" if source else message)
         self.which = which
         self.index = index
         self.length = length
+        # The stem or ending, its class and the rule that sliced it.
+        self.source = source

@@ -1,8 +1,9 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
 The index is built eagerly from the forms of every stem in scope, read
-from the conjugator's shared tail forms. Lookup is exact text matching;
-there is no fuzzy matching and no normalization.
+from each stem's packed junctions and plan as conjugate reads them.
+Lookup is exact text matching; there is no fuzzy matching and no
+normalization.
 """
 
 from dataclasses import dataclass
@@ -49,16 +50,16 @@ def build_index(lexicon, verbs=None):
     for verb in scope:
         if verb not in lexicon.verbs:
             raise NotFound(verb)
-    index, tails = {}, {}
+    index = {}
     for verb in scope:
-        for text, entry, provenance in conjugator._stem_forms(lexicon, verb, tails):
-            known = index.get(text)
-            if known is None and len(provenance) == 1:  # nearly every text: stored as found
-                index[text] = (LemmaCandidate(verb, entry.surface, provenance[0][0], entry.class_id),)
-            else:
-                found = [LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
-                         for verb_class, _rule in provenance]
-                index[text] = tuple(sorted({*(known or ()), *found}))
+        letters, junctions, plan = conjugator._planned(lexicon, verb)
+        texts = conjugator._pack(verb, letters, junctions)
+        for entry, steps in plan:
+            for verb_class, _rule, slot, _head, rest in steps:
+                text = texts[slot] + rest
+                found = LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
+                known = index.get(text)  # nearly every text: its one candidate stored as found
+                index[text] = (found,) if known is None else tuple(sorted({*known, found}))
     return FormIndex(index, scope)
 
 
@@ -81,10 +82,13 @@ def save_index(index, path):
 
 def load_index(path):
     """Rebuild a FormIndex from a file written by save_index."""
-    index = {}
+    index, verb_ids, ending_ids = {}, {}, {}  # each field's raw spellings, parsed on first sight
     for line_no, (text, verb, ending, verb_class, ending_class) in _rows(path, 5):
-        found = LemmaCandidate(verb, ending, _class_id(verb_class, VERB_CLASS_COUNT, path, line_no),
-                               _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no))
+        if verb_class not in verb_ids:
+            verb_ids[verb_class] = _class_id(verb_class, VERB_CLASS_COUNT, path, line_no)
+        if ending_class not in ending_ids:
+            ending_ids[ending_class] = _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no)
+        found = LemmaCandidate(verb, ending, verb_ids[verb_class], ending_ids[ending_class])
         known = index.get(text)  # as in build_index: a new text's one candidate is stored as read
         index[text] = (found,) if known is None else tuple(sorted({*known, found}))
     scope = sorted({cand.verb for bucket in index.values() for cand in bucket})

@@ -91,14 +91,15 @@ class Lexicon:
 
     def _plan(self, class_ids):
         """The conjugation plan shared by all stems of these verb classes,
-        compiled on first use: (deepest verb slice, reach, ((EndingEntry,
+        compiled on first use: (deepest verb slice, junctions, ((EndingEntry,
         steps), ...)) by ending class, then file order, without all-blank
-        endings. A step (verb class, rule, verb stop, head letters, rest text)
-        makes compose(stem letters[:verb stop] + head) + rest, which is
+        endings. A step (verb class, rule, slot, head letters, rest text) makes
+        compose(stem letters[:verb stop] + head) + rest, which is
         compose(stem letters[:verb stop] + tail) for its tail of postfix +
-        ending letters from the rule's start (see _pack_rest); of a stem's
-        last `reach` letters, it keeps the first, and the second unless that
-        tail starts with a vowel."""
+        ending letters from the rule's start (see _pack_rest). Its slot indexes
+        junctions, which hold each distinct (verb stop, head) once, in order of
+        first use, with that first step: (verb stop, head, verb class, rule,
+        EndingEntry, rest)."""
         if class_ids in self._plans:
             return self._plans[class_ids]
         if self._letters is None:
@@ -114,21 +115,28 @@ class Lexicon:
             for entry in endings:
                 letters = self._letters[entry.surface]
                 if start > len(letters):
-                    raise IndexOutOfBounds("ending", start, len(letters))
+                    c, rule = next((c, rule) for c, rule in rules if rule.ending_start == start)
+                    raise IndexOutOfBounds(
+                        "ending", start, len(letters),
+                        f"verb class {c} + ending {entry.surface!r} (ending class "
+                        f"{ending_class}), rule {ruleset.serialize_rule(rule)}")
                 entries.append((entry, tuple((c, rule, rule.verb_stop,
                                               rule.postfix + letters[rule.ending_start:])
                                              for c, rule in rules)))
-        # A stop of 0 or more (only a hand-built Template holds one) counts from
-        # the stem's head, so no leading syllables can be set aside.
-        reach = max([2] + [float("inf") if stop is not None and stop >= 0 else
-                           -(stop or 0) + (1 if tail and hangul_codec.is_vowel(tail[0]) else 2)
-                           for _, steps in entries for _, _, stop, tail in steps])
         for tail in {tail for _, steps in entries for *_, tail in steps} - self._packs.keys():
             self._packs[tail] = _pack_rest(tail)  # each distinct tail once per lexicon
-        plan = self._plans[class_ids] = depth, reach, tuple(
-            (entry, tuple((c, rule, stop, *self._packs[tail]) for c, rule, stop, tail in steps))
-            for entry, steps in entries)
-        return plan
+        slots, junctions, plan = {}, [], []
+        for entry, steps in entries:
+            packed = []
+            for c, rule, stop, tail in steps:
+                head, rest = self._packs[tail]
+                slot = slots.setdefault((stop, head), len(junctions))
+                if slot == len(junctions):
+                    junctions.append((stop, head, c, rule, entry, rest))
+                packed.append((c, rule, slot, head, rest))
+            plan.append((entry, tuple(packed)))
+        self._plans[class_ids] = result = depth, tuple(junctions), tuple(plan)
+        return result
 
 
 def _pack_rest(tail):

@@ -52,7 +52,9 @@ def merge_by_hand(verb, ending, rule):
     verb_letters = list(hangul_codec.decompose(verb))
     ending_letters = list(hangul_codec.decompose(ending))
     if rule.verb_stop is not None:
-        keep = len(verb_letters) + rule.verb_stop
+        # Only a hand-built Template holds a stop of 0 or more: it counts from the head.
+        stop = rule.verb_stop
+        keep = len(verb_letters) + stop if stop < 0 else min(stop, len(verb_letters))
         assert keep >= 0
         verb_letters = verb_letters[:keep]
     if rule.ending_start is not None:

@@ -12,7 +12,7 @@ from koverbs.hangul_codec import (CLUSTER_FINALS, LETTERS, SYLLABLE_BASE, SYLLAB
                                   compose, decompose)
 from koverbs.lemmatizer import build_index
 from koverbs.lexicon import EndingEntry, Lexicon, VerbEntry
-from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template
+from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template, serialize_rule
 
 from conftest import shipped_paths
 from oracle import brute_force, flatten_paradigm, index_by_hand, merge_by_hand
@@ -218,6 +218,27 @@ def test_stem_shorter_than_its_plan_slices():
         assert (exc.value.which, exc.value.index, exc.value.length) == ("verb", -3, 2)
 
 
+def test_a_slice_out_of_bounds_names_its_source():
+    # load rejects both lexicons. The stem 가 has 2 letters, and of its two
+    # classes' rules the deepest drops 3; the ending 고 has 2, and its class's
+    # rule starts at 3, which fails when the plan compiles.
+    template = Template({(1, 1): Rule(-1, (), None), (2, 1): Rule(-3, (), None)})
+    short_stem = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1, 2))], template)
+    for call in (lambda: cj.conjugate(short_stem, "가"),
+                 lambda: cj.conjugate_pair(short_stem, "가", "고"), lambda: build_index(short_stem)):
+        with pytest.raises(IndexOutOfBounds) as exc:
+            call()
+        assert str(exc.value) == ("stem '가' (verb class 2), rule -3,,None: "
+                                  "verb slice index -3 out of bounds for 2 letters")
+    short_ending = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))],
+                           Template({(1, 1): Rule(None, (), 3)}))
+    with pytest.raises(IndexOutOfBounds) as exc:
+        cj.conjugate(short_ending, "가")
+    assert (exc.value.which, exc.value.index, exc.value.length) == ("ending", 3, 2)
+    assert exc.value.source == "verb class 1 + ending '고' (ending class 1), rule None,,3"
+    assert str(exc.value) == f"{exc.value.source}: ending slice index 3 out of bounds for 2 letters"
+
+
 def test_stops_from_the_stem_head_set_no_syllables_aside():
     # parse_rule takes only negative stops, but a hand-built Template may
     # hold 0 or 1, which keep letters from the stem's head: no leading
@@ -307,20 +328,15 @@ def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
     assert str(indexed.value) == str(single.value)
 
 
-def test_a_run_of_stems_keeps_a_bounded_number_of_tails():
+def test_a_run_of_stems_over_many_tails_indexes_as_the_oracle_does():
     # 512 one-syllable tails, each behind three leading syllables in a row,
-    # then one more tail: the second stem of a tail keeps its forms for the
-    # third, a tail asked for once keeps none, and only the last
-    # _TAILS_KEPT tails asked for stay.
+    # then one more tail: 1,537 stems over 513 tails, indexed in one run.
     template = Template({(1, 1): IDENTITY_RULE})
-    stems = [head + chr(SYLLABLE_BASE + 7 * k) for k in range(2 * cj._TAILS_KEPT) for head in "가나다"]
-    stems.append("가" + chr(SYLLABLE_BASE + 7 * 2 * cj._TAILS_KEPT))
+    stems = [head + chr(SYLLABLE_BASE + 7 * k) for k in range(512) for head in "가나다"]
+    stems.append("가" + chr(SYLLABLE_BASE + 7 * 512))
     lex = Lexicon([EndingEntry("고", 1)], [VerbEntry(s, (1,)) for s in stems], template)
-    tails = {}
-    for verb in stems:
-        assert [text for text, _, _ in cj._stem_forms(lex, verb, tails)] == [verb + "고"]
-        assert len(tails) <= cj._TAILS_KEPT
-    assert [forms is None for forms in tails.values()] == [False] * (cj._TAILS_KEPT - 1) + [True]
+    assert [(text, tuple(map(astuple, candidates))) for text, candidates in build_index(lex).items()] \
+        == list(index_by_hand(lex).items())
 
 
 # ---------------------------------------------------------------- oracle spots
@@ -419,3 +435,98 @@ def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
     assert outcome(lambda: {text: tuple(map(astuple, candidates))
                             for text, candidates in build_index(lex).items()}) \
         == outcome(lambda: index_by_hand(lex))
+
+
+# ------------------------------------------ the flat plan on hand-built lexicons
+
+def stuck(lexicon, verb, endings):
+    """apply_rule's error for the first step, over `endings` in order and then the
+    stem's classes, whose form cannot pack, with the source naming that step;
+    None when every form packs."""
+    for entry in endings:
+        for verb_class in lexicon.verbs[verb].class_ids:
+            rule = lexicon.template.lookup(verb_class, entry.class_id)
+            if rule is None:
+                continue
+            try:
+                cj.apply_rule(decompose(verb), decompose(entry.surface), rule)
+            except Uncomposable as err:
+                return err, (f"stem {verb!r} (verb class {verb_class}) + ending {entry.surface!r} "
+                             f"(ending class {entry.class_id}), rule {serialize_rule(rule)}")
+    return None
+
+
+def assert_fails_as(call, failure):
+    err, source = failure
+    with pytest.raises(Uncomposable) as exc:
+        call()
+    assert (exc.value.letters, exc.value.position, exc.value.source) == (err.letters,
+                                                                         err.position, source)
+    assert str(exc.value) == f"{source}: {err}"
+
+
+def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction():
+    # Under the identity rule 고 and 다 splice the stem's whole letters before a
+    # packed rest, so they share one junction, which 고 uses first. The lone
+    # jamo ㄱ cannot pack: the pair with 다 fails on ㄱ + 다, not on ㄱ + 고.
+    lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
+                  Template({(1, 1): IDENTITY_RULE}))
+    _, junctions, plan = lex._plan((1,))
+    assert len(junctions) == 1 and [steps[0][2] for _, steps in plan] == [0, 0]
+    for ending in ("고", "다"):
+        assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),
+                        stuck(lex, "ㄱ", [EndingEntry(ending, 1)]))
+
+
+# Ending sides that share heads across endings (고 and 다 cut before their
+# first letter, ㄴ다 and ㄴ가 after ㄴ, ㅏ다 after ㅏ), and some that get stuck
+# (다ㅏ, whose letters from 다 cannot pack, or a postfix vowel after the stem's
+# vowel). Every ending has 2 letters or more and every stem 3 or more, so no
+# slice reaches past them.
+HAND_ENDINGS = ("고", "다", "ㄴ다", "ㄴ가", "아서", "어", "ㄹ까", "ㅂ니다", "ㅏ다", "다ㅏ")
+hand_rules = st.builds(Rule, st.one_of(st.none(), st.integers(-3, 1)),
+                       st.lists(st.sampled_from("ㅏㅓㄴㄹㅇㅎ"), max_size=2).map(tuple),
+                       st.one_of(st.none(), st.integers(1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.one_of(st.sampled_from(sorted(v for v in SHIPPED.verbs if len(decompose(v)) >= 3)),
+                      st.lists(syllables, min_size=2, max_size=2).map("".join)),
+       heads=st.lists(leading_characters, min_size=1, max_size=4, unique=True),
+       classes=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(tuple),
+       cells=st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 2)), hand_rules),
+       endings=st.lists(st.builds(EndingEntry, st.sampled_from(HAND_ENDINGS), st.integers(1, 2)),
+                        min_size=1, max_size=5, unique=True))
+def test_the_flat_plan_matches_the_oracle_on_hand_built_lexicons(tail, heads, classes, cells,
+                                                                 endings):
+    # Stems share a tail behind 0-3 leading syllables or lone jamo, on a
+    # template with verb stops -3..1; conjugate, every pair and build_index
+    # give the oracle's forms, or apply_rule's error for the first failing step.
+    stems = [head + tail for head in heads]
+    lex = Lexicon(endings, [VerbEntry(verb, classes) for verb in stems], Template(cells))
+    in_plan_order = sorted(endings, key=lambda e: e.class_id)
+    for verb in stems:
+        failure = stuck(lex, verb, in_plan_order)
+        if failure:
+            assert_fails_as(lambda: cj.conjugate(lex, verb), failure)
+        else:
+            assert flatten_paradigm(cj.conjugate(lex, verb)) == brute_force(lex, verb)
+        for ending in {e.surface for e in endings}:
+            lines = [e for e in endings if e.surface == ending]
+            failure = stuck(lex, verb, lines)
+            if failure:
+                assert_fails_as(lambda: cj.conjugate_pair(lex, verb, ending), failure)
+                continue
+            only = Lexicon(lines, lex.verbs.values(), lex.template)
+            rows = {(surface, ending_class): forms
+                    for surface, ending_class, forms in brute_force(only, verb)}
+            expected = [(text, entry.class_id, classes) for entry in lines
+                        for text, classes in rows.get(astuple(entry), ())]
+            assert [(f.text, f.ending_class, tuple(c for c, _ in f.provenance))
+                    for f in cj.conjugate_pair(lex, verb, ending)] == expected
+    failure = next(filter(None, (stuck(lex, verb, in_plan_order) for verb in stems)), None)
+    if failure:
+        assert_fails_as(lambda: build_index(lex), failure)
+    else:
+        assert [(text, tuple(map(astuple, candidates))) for text, candidates
+                in build_index(lex).items()] == list(index_by_hand(lex).items())
