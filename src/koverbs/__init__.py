@@ -38,14 +38,7 @@ from .lexicon import (
 )
 from .lexicon import load as load_lexicon
 from .conjugator import Paradigm, SurfaceForm, apply_rule, conjugate, conjugate_pair
-from .lemmatizer import (
-    FormIndex,
-    LemmaCandidate,
-    build_index,
-    lemmatize,
-    load_index,
-    save_index,
-)
+from .lemmatizer import FormIndex, LemmaCandidate, build_index, lemmatize
 
 __version__ = "0.1.0"
 
@@ -81,11 +74,9 @@ __all__ = [
     "default_data_dir",
     "lemmatize",
     "load_expectations",
-    "load_index",
     "load_lexicon",
     "load_template",
     "parse_rule",
-    "save_index",
     "serialize_rule",
     "validate",
     "__version__",

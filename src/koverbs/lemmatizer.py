@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from . import conjugator
 from .errors import NotFound
-from .lexicon import _class_id, _rows
-from .ruleset import ENDING_CLASS_COUNT, VERB_CLASS_COUNT
 
 
 @dataclass(frozen=True, order=True)
@@ -66,30 +64,3 @@ def build_index(lexicon, verbs=None):
 def lemmatize(index, form):
     """All candidates whose regeneration yields `form`; [] when unknown."""
     return list(index.candidates(form))
-
-
-def save_index(index, path):
-    """Persist an index as sorted TSV, one candidate per line."""
-    rows = []
-    for text, candidates in index.items():
-        for cand in candidates:
-            rows.append((text, cand.verb, cand.ending, cand.verb_class, cand.ending_class))
-    rows.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, verb, ending, verb_class, ending_class in rows:
-            fh.write(f"{text}\t{verb}\t{ending}\t{verb_class}\t{ending_class}\n")
-
-
-def load_index(path):
-    """Rebuild a FormIndex from a file written by save_index."""
-    index, verb_ids, ending_ids = {}, {}, {}  # each field's raw spellings, parsed on first sight
-    for line_no, (text, verb, ending, verb_class, ending_class) in _rows(path, 5):
-        if verb_class not in verb_ids:
-            verb_ids[verb_class] = _class_id(verb_class, VERB_CLASS_COUNT, path, line_no)
-        if ending_class not in ending_ids:
-            ending_ids[ending_class] = _class_id(ending_class, ENDING_CLASS_COUNT, path, line_no)
-        found = LemmaCandidate(verb, ending, verb_ids[verb_class], ending_ids[ending_class])
-        known = index.get(text)  # as in build_index: a new text's one candidate is stored as read
-        index[text] = (found,) if known is None else tuple(sorted({*known, found}))
-    scope = sorted({cand.verb for bucket in index.values() for cand in bucket})
-    return FormIndex(index, scope)

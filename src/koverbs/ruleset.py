@@ -28,9 +28,12 @@ IDENTITY_RULE = Rule(None, (), None)
 
 
 def _integer(raw):
-    """The value of ASCII digits after at most one "-", else None: int() would
-    also take other scripts' digits, underscores and surrounding spaces."""
-    return int(raw) if raw.isascii() and raw.removeprefix("-").isdigit() else None
+    """The value of at most 640 ASCII digits after at most one "-", else None:
+    int() would also take other scripts' digits, underscores and surrounding
+    spaces, and raises ValueError on more digits than Python's int-string limit
+    (640 at the lowest, see sys.set_int_max_str_digits)."""
+    digits = raw.removeprefix("-")
+    return int(raw) if raw.isascii() and digits.isdigit() and len(digits) <= 640 else None
 
 
 def parse_rule(text):

@@ -245,6 +245,27 @@ def test_validate_malformed_template_cell(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verbs.tsv", ["--verbs", "{}", "classes"]),
+    ("template.tsv", ["--template", "{}", "conjugate", "그렇"]),
+    ("expectations.tsv", ["validate", "--expectations", "{}"]),
+], ids=["verb class", "rule stop", "expected class"])
+def test_overlong_integer_is_a_data_error(tmp_path, capsys, name, argv):
+    # More digits than int() converts by default: the loader's error, not a ValueError.
+    digits = "9" * 5000
+    text = {
+        "verbs.tsv": f"가\t{digits}\n",
+        "template.tsv": TEMPLATE_PATH.read_text(encoding="utf-8").replace(
+            "-2,ㅐ,2", f"-{digits},ㅐ,2", 1),
+        "expectations.tsv": f"verb\t{digits}\tends-with-ㅎ\ttrue\n",
+    }[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([arg.format(path) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_empty_surface(tmp_path, capsys):
     endings = ENDINGS_PATH.read_text(encoding="utf-8") + "\t1\n"
     data = seed_dir(tmp_path, endings=endings)

@@ -241,9 +241,9 @@ def test_a_slice_out_of_bounds_names_its_source():
 
 def test_stops_from_the_stem_head_set_no_syllables_aside():
     # parse_rule takes only negative stops, but a hand-built Template may
-    # hold 0 or 1, which keep letters from the stem's head: no leading
-    # syllables can be set aside, and each form is apply_rule's. The two
-    # stems share the tail 가다, and build_index reads them in one run.
+    # hold 0 or 1, which keep letters from the stem's head: each form is
+    # still apply_rule's, from conjugate, conjugate_pair and build_index
+    # alike. The two stems end in the same 가다; one build_index indexes both.
     rules = {1: Rule(0, (), None), 2: Rule(1, ("ㅏ",), None), 3: Rule(-1, (), None)}
     template = Template({(c, 1): rule for c, rule in rules.items()})
     stems = ("다가다", "라가다")
@@ -291,7 +291,7 @@ def test_an_ending_side_that_cannot_pack_fails_as_apply_rule_does(stem, ending):
     # 다ㅏ's letters from its consonant+vowel pair cannot pack, so the step keeps
     # them all as its head; ㅏ다 packs 다 at compile time, and the form gets stuck
     # on the stem + ㅏ before it. Either way the error is apply_rule's on the
-    # whole letters, whether or not the stem sets a leading syllable aside.
+    # whole letters, for a stem of one syllable, of two, or led by a lone jamo.
     lex = Lexicon([EndingEntry(ending, 1)], [VerbEntry(stem, (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
     with pytest.raises(Uncomposable) as direct:
@@ -307,9 +307,9 @@ def test_an_ending_side_that_cannot_pack_fails_as_apply_rule_does(stem, ending):
 
 
 def test_a_failing_tail_fails_again_for_the_next_stem(lexicon):
-    # 다가나 and 라가나 set aside their first syllable and share the tail 가나,
-    # which verb class 4 cannot conjugate (see above). The second stem's
-    # error is its own, and build_index stops at the first stem in scope.
+    # 다가나 and 라가나 both end in 가나, which verb class 4 cannot conjugate
+    # (see above). The second stem's error is its own, and build_index stops
+    # at the first stem in scope.
     both = Lexicon(lexicon.endings, [VerbEntry(s, (4,)) for s in ("다가나", "라가나")],
                    lexicon.template)
     alone = Lexicon(lexicon.endings, [VerbEntry("라가나", (4,))], lexicon.template)
@@ -422,8 +422,9 @@ leading_characters = st.one_of(st.lists(syllables, max_size=3),
        heads=st.lists(leading_characters, min_size=2, max_size=5, unique=True),
        classes=class_tuples)
 def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
-    # One lexicon per example; build_index reads every stem in one run, so
-    # stems after the first reuse its tail's forms.
+    # One lexicon per example, its stems ending in the same syllables: each
+    # conjugates as the oracle does, again on a second pass, and one
+    # build_index over all of them indexes as the oracle does.
     stems = [head + tail for head in heads]
     lex = Lexicon(SHIPPED.endings, [VerbEntry(verb, classes) for verb in stems], SHIPPED.template)
     first = {}

@@ -4,7 +4,7 @@ from dataclasses import astuple
 import pytest
 
 from koverbs import conjugate, lemmatizer as lm
-from koverbs.errors import NotFound, ParseError, RangeError
+from koverbs.errors import NotFound
 from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST
 from koverbs.lexicon import Lexicon, VerbEntry
 
@@ -78,82 +78,6 @@ def test_index_covers_exactly_the_generated_texts(lexicon, index):
             texts.update(f.text for f in forms)
     assert set(t for t, _ in index.items()) == texts
     assert len(index) == 2116
-
-
-def test_save_load_round_trip(tmp_path, index):
-    path = tmp_path / "forms.tsv"
-    lm.save_index(index, path)
-    reloaded = lm.load_index(path)
-    assert len(reloaded) == len(index)
-    assert dict(reloaded.items()) == dict(index.items())
-
-
-def test_load_index_merges_unsorted_and_repeated_rows(tmp_path, index):
-    # A file save_index did not write: rows shuffled, one in seven twice. Each
-    # text keeps its first-seen place and its distinct candidates, sorted.
-    rows = [(text, c.verb, c.ending, c.verb_class, c.ending_class)
-            for text, candidates in index.items() for c in candidates]
-    rows += rows[::7]
-    random.Random(3).shuffle(rows)
-    path = tmp_path / "forms.tsv"
-    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
-    collected = {}
-    for text, *fields in rows:
-        collected.setdefault(text, set()).add(lm.LemmaCandidate(*fields))
-    assert list(lm.load_index(path).items()) == [(text, tuple(sorted(bucket)))
-                                                 for text, bucket in collected.items()]
-
-
-def test_saved_file_is_sorted_and_deterministic(tmp_path, lexicon, index):
-    first = tmp_path / "a.tsv"
-    second = tmp_path / "b.tsv"
-    lm.save_index(index, first)
-    lm.save_index(lm.build_index(lexicon), second)
-    text = first.read_text(encoding="utf-8")
-    assert text == second.read_text(encoding="utf-8")
-    rows = [line.split("\t") for line in text.splitlines()]
-    assert all(len(row) == 5 for row in rows)
-    keys = [(r[0], r[1], r[2], int(r[3]), int(r[4])) for r in rows]
-    assert keys == sorted(keys)
-
-
-def test_load_index_not_utf8(tmp_path):
-    path = tmp_path / "forms.tsv"
-    path.write_bytes("가\t가\t아\t1\t1\n".encode() + b"\xff\t\n")
-    with pytest.raises(ParseError) as exc:
-        lm.load_index(path)
-    assert (exc.value.path, exc.value.line) == (str(path), 2)
-    assert "not UTF-8: byte 0xff" in str(exc.value)
-
-
-def test_load_index_wrong_field_count(tmp_path):
-    path = tmp_path / "forms.tsv"
-    path.write_text("가\t가\t아\t1\t1\n\n가\t가\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
-        lm.load_index(path)
-    assert (exc.value.path, exc.value.line) == (str(path), 3)
-    assert "expected 5 tab-separated fields, got 2" in str(exc.value)
-
-
-def test_load_index_class_id_not_an_integer(tmp_path):
-    path = tmp_path / "forms.tsv"
-    path.write_text("가\t가\t아\t1\tx\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
-        lm.load_index(path)
-    assert (exc.value.path, exc.value.line) == (str(path), 1)
-    assert "'x'" in exc.value.reason
-
-
-@pytest.mark.parametrize("line,value,high", [
-    ("가\t가\t아\t99\t-5\n", 99, 46),
-    ("가\t가\t아\t1\t-5\n", -5, 24),
-], ids=["verb class", "ending class"])
-def test_load_index_class_id_out_of_range(tmp_path, line, value, high):
-    path = tmp_path / "forms.tsv"
-    path.write_text(line, encoding="utf-8")
-    with pytest.raises(RangeError) as exc:
-        lm.load_index(path)
-    assert (exc.value.value, exc.value.low, exc.value.high) == (value, 1, high)
 
 
 def with_leading_syllables(lexicon):

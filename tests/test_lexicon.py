@@ -89,9 +89,12 @@ def test_duplicate_verb_surface(tmp_path):
 
 
 def test_verb_field_count(tmp_path):
-    with pytest.raises(ParseError) as exc:
-        lx.load(*write_data(tmp_path, verbs="가\n"))
-    assert "2 tab-separated" in exc.value.reason
+    # A blank line is skipped but still counted: the second file fails on line 3.
+    for verbs, line in [("가\n", 1), ("가\t1\n\n가\n", 3)]:
+        with pytest.raises(ParseError) as exc:
+            lx.load(*write_data(tmp_path, verbs=verbs))
+        assert exc.value.line == line
+        assert "2 tab-separated" in exc.value.reason
 
 
 def test_verb_class_not_integer(tmp_path):
@@ -99,7 +102,8 @@ def test_verb_class_not_integer(tmp_path):
         lx.load(*write_data(tmp_path, verbs="가\ttwenty\n"))
 
 
-# int() would take each of these; only ASCII digits after at most one "-" are ids.
+# int() would take each of these, or raise ValueError past Python's int-string
+# limit; only up to 640 ASCII digits after at most one "-" are ids.
 @pytest.mark.parametrize("name,surface,raw", [
     ("verbs", "가", "2_9"),
     ("verbs", "가", " 29"),
@@ -107,6 +111,7 @@ def test_verb_class_not_integer(tmp_path):
     ("endings", "고", "١"),
     ("endings", "고", " ３ "),
     ("endings", "고", "1\u3000"),
+    pytest.param("verbs", "가", "9" * 5000, id="verbs-5000 digits"),
 ])
 def test_class_id_not_ascii_digits(tmp_path, name, surface, raw):
     with pytest.raises(ParseError) as exc:
@@ -205,6 +210,8 @@ def test_load_expectations_shape(expectations):
     ("verb\t8_0\tends-with-ㅎ\ttrue", ParseError),
     ("verb\t８\tends-with-ㅎ\ttrue", ParseError),
     ("ending\t 2\tstarts-with-vowel\ttrue", ParseError),
+    pytest.param("verb\t" + "9" * 5000 + "\tends-with-ㅎ\ttrue", ParseError,
+                 id="verb 5000 digits-ParseError"),
 ])
 def test_load_expectations_errors(tmp_path, line, err):
     path = tmp_path / "expectations.tsv"
