@@ -1,13 +1,15 @@
-"""Rule application and paradigm generation.
+"""Rule application, the conjugation plan, and paradigm generation.
 
 apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
-conjugate and conjugate_pair do the same arithmetic from the lexicon's
-plan for the stem's classes: each distinct junction (the stem's kept
-letters plus the unpacked head of a rule's ending side) is packed once
-per stem, and a form is its junction's text plus the step's pre-packed
-rest.
+The plan of a class tuple, compiled here once and cached on the
+lexicon, lets conjugate, conjugate_pair and build_index pack each
+distinct junction (the stem's kept letters plus the unpacked head of a
+rule's ending side) once per stem; a form is its junction's text plus
+the step's pre-packed rest. Every error is apply_rule's on one of the
+call's own steps, and names that step: the first one that slices past
+a short stem deepest, else the first one whose form cannot pack.
 """
 
 from dataclasses import dataclass
@@ -57,40 +59,111 @@ def apply_rule(verb_letters, ending_letters, rule):
     return hangul_codec.compose(verb_letters[:stop] + rule.postfix + ending_letters[start:])
 
 
-def _planned(lexicon, verb):
-    """A stem's letters and plan, checked against the plan's slice depth."""
+def _apply_step(verb, entry, verb_class, rule):
+    """apply_rule on one step of a plan, its error re-raised naming the step: the stem
+    and verb class, the ending and ending class, and the rule. With verb None, as a plan
+    compiles before any stem, only the rule's ending side is applied."""
+    stem = f"stem {verb!r} (verb class {verb_class})"
+    ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
+    rule_text = f", rule {ruleset.serialize_rule(rule)}"
+    if verb is None:
+        verb_letters, rule_part = (), ruleset.Rule(None, rule.postfix, rule.ending_start)
+    else:
+        verb_letters, rule_part = hangul_codec.decompose(verb), rule
+    try:
+        return apply_rule(verb_letters, hangul_codec.decompose(entry.surface), rule_part)
+    except IndexOutOfBounds as err:
+        source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
+        raise IndexOutOfBounds(err.which, err.index, err.length, source + rule_text) from None
+    except Uncomposable as err:
+        raise Uncomposable(err.letters, err.position, f"{stem} + {ending}{rule_text}") from None
+
+
+def _plan(lexicon, class_ids):
+    """The conjugation plan shared by all stems of these verb classes, compiled on
+    first use and cached on the lexicon: (deepest verb slice, junctions, ((EndingEntry,
+    steps), ...)) by ending class, then file order, without all-blank endings. A step
+    (verb class, rule, slot, rest) makes compose(stem letters[:verb stop] + head) +
+    rest, which is compose(stem letters[:verb stop] + tail) for its tail of postfix +
+    ending letters from the rule's start (see _pack_rest). Its slot indexes junctions,
+    which hold each distinct (verb stop, head) once, in order of first use."""
+    plan = lexicon._plans.get(class_ids)
+    if plan is not None:
+        return plan
+    depth, slots, junctions, entries = 0, {}, [], []
+    for ending_class, endings in lexicon._by_class.items():
+        cells = [(c, lexicon.template.lookup(c, ending_class)) for c in class_ids if endings]
+        rules = [(c, rule) for c, rule in cells if rule is not None]
+        if not rules:
+            continue
+        depth = max([depth] + [-rule.verb_stop for _, rule in rules if rule.verb_stop])
+        start = max([0] + [rule.ending_start for _, rule in rules if rule.ending_start])
+        for entry in endings:
+            letters = hangul_codec.decompose(entry.surface)
+            if start > len(letters):  # fails for every stem: fail now, on the first such rule
+                _apply_step(None, entry, *next(r for r in rules if r[1].ending_start == start))
+            steps = []
+            for c, rule in rules:
+                head, rest = _pack_rest(rule.postfix + letters[rule.ending_start:])
+                slot = slots.setdefault((rule.verb_stop, head), len(junctions))
+                if slot == len(junctions):
+                    junctions.append((rule.verb_stop, head))
+                steps.append((c, rule, slot, rest))
+            entries.append((entry, tuple(steps)))
+    lexicon._plans[class_ids] = plan = depth, tuple(junctions), tuple(entries)
+    return plan
+
+
+def _pack_rest(tail):
+    """(head, rest): `tail` cut at its first consonant+vowel pair, the letters from
+    there packed as text; (tail, "") when there is no such pair or they cannot pack.
+    A consonant right before a vowel always starts a syllable, so for any letters,
+    compose(letters + tail) is compose(letters + head) + rest, and gets stuck
+    where compose(letters + head) does."""
+    cut = next((i for i in range(len(tail) - 1) if hangul_codec.is_consonant(tail[i])
+                and hangul_codec.is_vowel(tail[i + 1])), len(tail))
+    try:
+        return tail[:cut], hangul_codec.compose(tail[cut:])
+    except Uncomposable:
+        return tail, ""
+
+
+def _stem(lexicon, verb):
+    """The plan for a stem's classes, and the stem's letters."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
-    depth, junctions, plan = lexicon._plan(verb_entry.class_ids)
-    letters = hangul_codec.decompose(verb)
+    return _plan(lexicon, verb_entry.class_ids), hangul_codec.decompose(verb)
+
+
+def _pack(verb, letters, depth, junctions, entries):
+    """Each junction's text, compose(letters[:stop] + head), in order. A stem shorter
+    than `depth` fails on the first step of `entries` that slices that deep; when a
+    junction gets stuck, the first step of `entries` that fails raises: apply_rule's."""
     if depth > len(letters):
-        _, _, verb_class, rule, *_ = next(j for j in junctions if j[0] == -depth)
-        raise IndexOutOfBounds("verb", -depth, len(letters), f"stem {verb!r} (verb class "
-                               f"{verb_class}), rule {ruleset.serialize_rule(rule)}")
-    return letters, junctions, plan
+        _apply_step(verb, *next((entry, c, rule) for entry, steps in entries
+                                for c, rule, *_ in steps if rule.verb_stop == -depth))
+    try:
+        return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+    except Uncomposable:
+        for entry, steps in entries:
+            for verb_class, rule, *_ in steps:
+                _apply_step(verb, entry, verb_class, rule)
+        raise  # not reached: a step gets stuck wherever its junction does
 
 
-def _pack(verb, letters, junctions):
-    """Each junction's text, compose(letters[:stop] + head), in order; a junction
-    that gets stuck fails as apply_rule does on its step's whole letters."""
-    texts = []
-    for stop, head, verb_class, rule, ending_entry, rest in junctions:
-        try:
-            texts.append(hangul_codec.compose(letters[:stop] + head))
-        except Uncomposable as err:
-            raise Uncomposable(
-                err.letters + hangul_codec.decompose(rest), err.position,
-                f"stem {verb!r} (verb class {verb_class}) + ending {ending_entry.surface!r} "
-                f"(ending class {ending_entry.class_id}), rule {ruleset.serialize_rule(rule)}",
-            ) from None
-    return texts
+def _forms(lexicon, verb):
+    """(text, EndingEntry, verb class) for each step of a stem's plan, in order."""
+    (depth, junctions, plan), letters = _stem(lexicon, verb)
+    texts = _pack(verb, letters, depth, junctions, plan)
+    return [(texts[slot] + rest, entry, verb_class)
+            for entry, steps in plan for verb_class, _, slot, rest in steps]
 
 
 def _merged(verb, entry, steps, texts):
     """One plan entry's forms, each text that several classes make merged into one."""
     sources = {}
-    for verb_class, rule, slot, _, rest in steps:
+    for verb_class, rule, slot, rest in steps:
         text = texts[slot] + rest
         sources[text] = sources.get(text, ()) + ((verb_class, rule),)
     return tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
@@ -99,12 +172,12 @@ def _merged(verb, entry, steps, texts):
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    letters, junctions, plan = _planned(lexicon, verb)
-    texts = _pack(verb, letters, junctions)
+    (depth, junctions, plan), letters = _stem(lexicon, verb)
+    texts = _pack(verb, letters, depth, junctions, plan)
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge
-            (verb_class, rule, slot, _, rest), = steps
+            (verb_class, rule, slot, rest), = steps
             entries.append((entry, (SurfaceForm(texts[slot] + rest, verb, entry.surface,
                                                 entry.class_id, ((verb_class, rule),)),)))
         else:
@@ -113,16 +186,15 @@ def conjugate(lexicon, verb):
 
 
 def conjugate_pair(lexicon, verb, ending):
-    """Forms for one (stem, ending) pair; empty when all cells are blank."""
-    letters, junctions, plan = _planned(lexicon, verb)
+    """Forms for one (stem, ending) pair; empty when all cells are blank. Only the
+    pair's own steps are packed and checked, in file order."""
+    (_, junctions, plan), letters = _stem(lexicon, verb)
     found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
     if not found and all(e.surface != ending for e in lexicon.endings):
         raise NotFound(ending)
     if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
         found.sort(key=lambda item: lexicon.endings.index(item[0]))
-    own = {}  # the junctions this pair uses, each with its first step here
-    for entry, steps in found:
-        for verb_class, rule, slot, head, rest in steps:
-            own.setdefault(slot, (junctions[slot][0], head, verb_class, rule, entry, rest))
-    texts = dict(zip(own, _pack(verb, letters, own.values())))
+    own = {slot: junctions[slot] for _, steps in found for _, _, slot, _ in steps}
+    depth = max([0] + [-stop for stop, _ in own.values() if stop])
+    texts = dict(zip(own, _pack(verb, letters, depth, own.values(), found)))
     return [form for entry, steps in found for form in _merged(verb, entry, steps, texts)]

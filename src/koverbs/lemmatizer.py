@@ -1,7 +1,7 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
-The index is built eagerly from the forms of every stem in scope, read
-from each stem's packed junctions and plan as conjugate reads them.
+The index is built eagerly from the forms of every stem in scope, as
+the conjugator makes them from each stem's plan.
 Lookup is exact text matching; there is no fuzzy matching and no
 normalization.
 """
@@ -50,14 +50,10 @@ def build_index(lexicon, verbs=None):
             raise NotFound(verb)
     index = {}
     for verb in scope:
-        letters, junctions, plan = conjugator._planned(lexicon, verb)
-        texts = conjugator._pack(verb, letters, junctions)
-        for entry, steps in plan:
-            for verb_class, _rule, slot, _head, rest in steps:
-                text = texts[slot] + rest
-                found = LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
-                known = index.get(text)  # nearly every text: its one candidate stored as found
-                index[text] = (found,) if known is None else tuple(sorted({*known, found}))
+        for text, entry, verb_class in conjugator._forms(lexicon, verb):
+            found = LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
+            known = index.get(text)  # nearly every text: its one candidate stored as found
+            index[text] = (found,) if known is None else tuple(sorted({*known, found}))
     return FormIndex(index, scope)
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hangul_codec, ruleset
-from .errors import (DuplicateVerb, IndexOutOfBounds, NonHangulInput, ParseError, RangeError,
-                     Uncomposable)
+from .errors import DuplicateVerb, NonHangulInput, ParseError, RangeError
 
 ENDINGS_FILE = "endings.tsv"
 VERBS_FILE = "verbs.tsv"
@@ -81,76 +80,13 @@ class Lexicon:
                 raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
             by_class[entry.class_id].append(entry)
         self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        self._plans, self._letters, self._packs = {}, None, {}
+        self._plans = {}  # class tuple -> its conjugation plan, see conjugator._plan
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
         if not 1 <= ending_class <= ruleset.ENDING_CLASS_COUNT:
             raise RangeError(ending_class, 1, ruleset.ENDING_CLASS_COUNT)
         return self._by_class[ending_class]
-
-    def _plan(self, class_ids):
-        """The conjugation plan shared by all stems of these verb classes,
-        compiled on first use: (deepest verb slice, junctions, ((EndingEntry,
-        steps), ...)) by ending class, then file order, without all-blank
-        endings. A step (verb class, rule, slot, head letters, rest text) makes
-        compose(stem letters[:verb stop] + head) + rest, which is
-        compose(stem letters[:verb stop] + tail) for its tail of postfix +
-        ending letters from the rule's start (see _pack_rest). Its slot indexes
-        junctions, which hold each distinct (verb stop, head) once, in order of
-        first use, with that first step: (verb stop, head, verb class, rule,
-        EndingEntry, rest)."""
-        if class_ids in self._plans:
-            return self._plans[class_ids]
-        if self._letters is None:
-            self._letters = {e.surface: hangul_codec.decompose(e.surface) for e in self.endings}
-        depth, entries = 0, []
-        for ending_class, endings in self._by_class.items():
-            cells = [(c, self.template.lookup(c, ending_class)) for c in class_ids if endings]
-            rules = [(c, rule) for c, rule in cells if rule is not None]
-            if not rules:
-                continue
-            depth = max([depth] + [-rule.verb_stop for _, rule in rules if rule.verb_stop])
-            start = max([0] + [rule.ending_start for _, rule in rules if rule.ending_start])
-            for entry in endings:
-                letters = self._letters[entry.surface]
-                if start > len(letters):
-                    c, rule = next((c, rule) for c, rule in rules if rule.ending_start == start)
-                    raise IndexOutOfBounds(
-                        "ending", start, len(letters),
-                        f"verb class {c} + ending {entry.surface!r} (ending class "
-                        f"{ending_class}), rule {ruleset.serialize_rule(rule)}")
-                entries.append((entry, tuple((c, rule, rule.verb_stop,
-                                              rule.postfix + letters[rule.ending_start:])
-                                             for c, rule in rules)))
-        for tail in {tail for _, steps in entries for *_, tail in steps} - self._packs.keys():
-            self._packs[tail] = _pack_rest(tail)  # each distinct tail once per lexicon
-        slots, junctions, plan = {}, [], []
-        for entry, steps in entries:
-            packed = []
-            for c, rule, stop, tail in steps:
-                head, rest = self._packs[tail]
-                slot = slots.setdefault((stop, head), len(junctions))
-                if slot == len(junctions):
-                    junctions.append((stop, head, c, rule, entry, rest))
-                packed.append((c, rule, slot, head, rest))
-            plan.append((entry, tuple(packed)))
-        self._plans[class_ids] = result = depth, tuple(junctions), tuple(plan)
-        return result
-
-
-def _pack_rest(tail):
-    """(head, rest): `tail` cut at its first consonant+vowel pair, the letters from
-    there packed as text; (tail, "") when there is no such pair or they cannot pack.
-    A consonant right before a vowel always starts a syllable, so for any letters,
-    compose(letters + tail) is compose(letters + head) + rest, and gets stuck
-    where compose(letters + head) does."""
-    cut = next((i for i in range(len(tail) - 1) if hangul_codec.is_consonant(tail[i])
-                and hangul_codec.is_vowel(tail[i + 1])), len(tail))
-    try:
-        return tail[:cut], hangul_codec.compose(tail[cut:])
-    except Uncomposable:
-        return tail, ""
 
 
 def default_data_dir():

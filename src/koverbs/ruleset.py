@@ -28,12 +28,13 @@ IDENTITY_RULE = Rule(None, (), None)
 
 
 def _integer(raw):
-    """The value of at most 640 ASCII digits after at most one "-", else None:
-    int() would also take other scripts' digits, underscores and surrounding
-    spaces, and raises ValueError on more digits than Python's int-string limit
-    (640 at the lowest, see sys.set_int_max_str_digits)."""
+    """The value of at most 640 ASCII digits with no leading zero, after at most
+    one "-", else None: int() would also take other digits, underscores, spaces
+    and leading zeros, which do not re-serialize, and raises ValueError past
+    Python's int-string limit (640 at the lowest, see sys.set_int_max_str_digits)."""
     digits = raw.removeprefix("-")
-    return int(raw) if raw.isascii() and digits.isdigit() and len(digits) <= 640 else None
+    canonical = digits.isdigit() and len(digits) <= 640 and (digits == "0" or digits[0] != "0")
+    return int(raw) if raw.isascii() and canonical else None
 
 
 def parse_rule(text):

@@ -232,11 +232,28 @@ def test_a_slice_out_of_bounds_names_its_source():
                                   "verb slice index -3 out of bounds for 2 letters")
     short_ending = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))],
                            Template({(1, 1): Rule(None, (), 3)}))
-    with pytest.raises(IndexOutOfBounds) as exc:
-        cj.conjugate(short_ending, "가")
-    assert (exc.value.which, exc.value.index, exc.value.length) == ("ending", 3, 2)
-    assert exc.value.source == "verb class 1 + ending '고' (ending class 1), rule None,,3"
-    assert str(exc.value) == f"{exc.value.source}: ending slice index 3 out of bounds for 2 letters"
+    for call in (lambda: cj.conjugate(short_ending, "가"),
+                 lambda: cj.conjugate_pair(short_ending, "가", "고"),
+                 lambda: build_index(short_ending)):
+        with pytest.raises(IndexOutOfBounds) as exc:
+            call()
+        assert (exc.value.which, exc.value.index, exc.value.length) == ("ending", 3, 2)
+        assert exc.value.source == "verb class 1 + ending '고' (ending class 1), rule None,,3"
+        assert str(exc.value) == (f"{exc.value.source}: "
+                                  "ending slice index 3 out of bounds for 2 letters")
+
+
+def test_a_pair_checks_only_its_own_slices():
+    # Verb class 1 fills 고 with the identity rule and 다 with a rule that drops
+    # 3 letters, more than 가 has. The pair with 고 never slices the stem.
+    template = Template({(1, 1): IDENTITY_RULE, (1, 2): Rule(-3, (), None)})
+    lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 2)], [VerbEntry("가", (1,))], template)
+    assert [f.text for f in cj.conjugate_pair(lex, "가", "고")] == ["가고"]
+    for call in (lambda: cj.conjugate(lex, "가"), lambda: cj.conjugate_pair(lex, "가", "다")):
+        with pytest.raises(IndexOutOfBounds) as exc:
+            call()
+        assert str(exc.value) == ("stem '가' (verb class 1), rule -3,,None: "
+                                  "verb slice index -3 out of bounds for 2 letters")
 
 
 def test_stops_from_the_stem_head_set_no_syllables_aside():
@@ -277,10 +294,15 @@ def test_the_plan_packs_each_ending_side_once():
              "다ㅏ": (("ㄷ", "ㅏ", "ㅏ"), ""), "ㅏ다ㅏ고": (("ㅏ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")}
     template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㅓ",), 1)})
     lex = Lexicon([EndingEntry(e, 1) for e in tails], [], template)
-    _, _, plan = lex._plan((1, 2))
-    assert [(entry.surface, steps[0][3:]) for entry, steps in plan] == list(tails.items())
+    _, junctions, plan = cj._plan(lex, (1, 2))
+
+    def head_and_rest(step):
+        _, _, slot, rest = step
+        return junctions[slot][1], rest
+
+    assert [(entry.surface, head_and_rest(steps[0])) for entry, steps in plan] == list(tails.items())
     # Class 2's tail is its postfix ㅓ and the ending's letters after the first.
-    assert [steps[1][3:] for _, steps in plan] == [
+    assert [head_and_rest(steps[1]) for _, steps in plan] == [
         (("ㅓ", "ㅗ"), ""), (("ㅓ",), "다"), (("ㅓ",), "다"), (("ㅓ",), ""), (("ㅓ", "ㅏ", "ㅏ"), ""),
         (("ㅓ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")]
 
@@ -472,7 +494,7 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
     # jamo ㄱ cannot pack: the pair with 다 fails on ㄱ + 다, not on ㄱ + 고.
     lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
-    _, junctions, plan = lex._plan((1,))
+    _, junctions, plan = cj._plan(lex, (1,))
     assert len(junctions) == 1 and [steps[0][2] for _, steps in plan] == [0, 0]
     for ending in ("고", "다"):
         assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),

@@ -103,11 +103,13 @@ def test_verb_class_not_integer(tmp_path):
 
 
 # int() would take each of these, or raise ValueError past Python's int-string
-# limit; only up to 640 ASCII digits after at most one "-" are ids.
+# limit; only up to 640 ASCII digits with no leading zero, after at most one
+# "-", are ids.
 @pytest.mark.parametrize("name,surface,raw", [
     ("verbs", "가", "2_9"),
     ("verbs", "가", " 29"),
     ("verbs", "가", "+29"),
+    ("verbs", "가", "029"),
     ("endings", "고", "١"),
     ("endings", "고", " ３ "),
     ("endings", "고", "1\u3000"),

@@ -56,6 +56,8 @@ def test_serialize_rule():
     (" -1,,1", "not an integer"),
     ("-1,,1 ", "not an integer"),
     ("-1,,+1", "not an integer"),
+    ("-01,ㅐ,2", "not an integer"),
+    ("-2,ㅐ,02", "not an integer"),
     # int() raises ValueError on this many digits.
     pytest.param("-" + "9" * 5000 + ",,1", "not an integer", id="5000 digits-not an integer"),
 ])
