@@ -9,7 +9,7 @@ distinct junction (the stem's kept letters plus the unpacked head of a
 rule's ending side) once per stem; a form is its junction's text plus
 the step's pre-packed rest. Every error is apply_rule's on one of the
 call's own steps, and names that step: the first one that slices past
-a short stem deepest, else the first one whose form cannot pack.
+its letters, else the first one whose form cannot pack.
 """
 
 from dataclasses import dataclass
@@ -61,17 +61,13 @@ def apply_rule(verb_letters, ending_letters, rule):
 
 def _apply_step(verb, entry, verb_class, rule):
     """apply_rule on one step of a plan, its error re-raised naming the step: the stem
-    and verb class, the ending and ending class, and the rule. With verb None, as a plan
-    compiles before any stem, only the rule's ending side is applied."""
+    and verb class, the ending and ending class, and the rule."""
     stem = f"stem {verb!r} (verb class {verb_class})"
     ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
     rule_text = f", rule {ruleset.serialize_rule(rule)}"
-    if verb is None:
-        verb_letters, rule_part = (), ruleset.Rule(None, rule.postfix, rule.ending_start)
-    else:
-        verb_letters, rule_part = hangul_codec.decompose(verb), rule
     try:
-        return apply_rule(verb_letters, hangul_codec.decompose(entry.surface), rule_part)
+        return apply_rule(hangul_codec.decompose(verb), hangul_codec.decompose(entry.surface),
+                          rule)
     except IndexOutOfBounds as err:
         source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
         raise IndexOutOfBounds(err.which, err.index, err.length, source + rule_text) from None
@@ -81,36 +77,35 @@ def _apply_step(verb, entry, verb_class, rule):
 
 def _plan(lexicon, class_ids):
     """The conjugation plan shared by all stems of these verb classes, compiled on
-    first use and cached on the lexicon: (deepest verb slice, junctions, ((EndingEntry,
-    steps), ...)) by ending class, then file order, without all-blank endings. A step
-    (verb class, rule, slot, rest) makes compose(stem letters[:verb stop] + head) +
-    rest, which is compose(stem letters[:verb stop] + tail) for its tail of postfix +
-    ending letters from the rule's start (see _pack_rest). Its slot indexes junctions,
-    which hold each distinct (verb stop, head) once, in order of first use."""
+    first use and cached on the lexicon: (junctions, ((EndingEntry, steps), ...)) by
+    ending class, then file order, without all-blank endings. A step (verb class,
+    rule, slot, rest) makes compose(stem letters[:verb stop] + head) + rest, which is
+    compose(stem letters[:verb stop] + tail) for its tail of postfix + ending letters
+    from the rule's start (see _pack_rest). Its slot indexes junctions, which hold
+    each distinct (verb stop, head) once, in order of first use; a rule that starts
+    past its ending's letters gets the head None, and fails only in a call that packs it."""
     plan = lexicon._plans.get(class_ids)
     if plan is not None:
         return plan
-    depth, slots, junctions, entries = 0, {}, [], []
+    slots, junctions, entries = {}, [], []
     for ending_class, endings in lexicon._by_class.items():
         cells = [(c, lexicon.template.lookup(c, ending_class)) for c in class_ids if endings]
         rules = [(c, rule) for c, rule in cells if rule is not None]
         if not rules:
             continue
-        depth = max([depth] + [-rule.verb_stop for _, rule in rules if rule.verb_stop])
-        start = max([0] + [rule.ending_start for _, rule in rules if rule.ending_start])
         for entry in endings:
             letters = hangul_codec.decompose(entry.surface)
-            if start > len(letters):  # fails for every stem: fail now, on the first such rule
-                _apply_step(None, entry, *next(r for r in rules if r[1].ending_start == start))
             steps = []
             for c, rule in rules:
                 head, rest = _pack_rest(rule.postfix + letters[rule.ending_start:])
+                if (rule.ending_start or 0) > len(letters):  # apply_rule raises, see _pack
+                    head = None
                 slot = slots.setdefault((rule.verb_stop, head), len(junctions))
                 if slot == len(junctions):
                     junctions.append((rule.verb_stop, head))
                 steps.append((c, rule, slot, rest))
             entries.append((entry, tuple(steps)))
-    lexicon._plans[class_ids] = plan = depth, tuple(junctions), tuple(entries)
+    lexicon._plans[class_ids] = plan = tuple(junctions), tuple(entries)
     return plan
 
 
@@ -136,26 +131,30 @@ def _stem(lexicon, verb):
     return _plan(lexicon, verb_entry.class_ids), hangul_codec.decompose(verb)
 
 
-def _pack(verb, letters, depth, junctions, entries):
-    """Each junction's text, compose(letters[:stop] + head), in order. A stem shorter
-    than `depth` fails on the first step of `entries` that slices that deep; when a
-    junction gets stuck, the first step of `entries` that fails raises: apply_rule's."""
-    if depth > len(letters):
-        _apply_step(verb, *next((entry, c, rule) for entry, steps in entries
-                                for c, rule, *_ in steps if rule.verb_stop == -depth))
-    try:
-        return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
-    except Uncomposable:
-        for entry, steps in entries:
-            for verb_class, rule, *_ in steps:
+def _pack(verb, letters, junctions, entries):
+    """Each junction's text, compose(letters[:stop] + head), in order. If one stops past
+    the stem, has no head or gets stuck, apply_rule's error raises for the first step of
+    `entries` that slices past its letters, else for the first one that cannot pack."""
+    low = -len(letters)
+    if all(head is not None and (stop or 0) >= low for stop, head in junctions):
+        try:
+            return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+        except Uncomposable:
+            pass
+    stuck = None
+    for entry, steps in entries:
+        for verb_class, rule, *_ in steps:
+            try:
                 _apply_step(verb, entry, verb_class, rule)
-        raise  # not reached: a step gets stuck wherever its junction does
+            except Uncomposable as err:
+                stuck = stuck or err
+    raise stuck  # a step fails wherever its junction does
 
 
 def _forms(lexicon, verb):
     """(text, EndingEntry, verb class) for each step of a stem's plan, in order."""
-    (depth, junctions, plan), letters = _stem(lexicon, verb)
-    texts = _pack(verb, letters, depth, junctions, plan)
+    (junctions, plan), letters = _stem(lexicon, verb)
+    texts = _pack(verb, letters, junctions, plan)
     return [(texts[slot] + rest, entry, verb_class)
             for entry, steps in plan for verb_class, _, slot, rest in steps]
 
@@ -172,8 +171,8 @@ def _merged(verb, entry, steps, texts):
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    (depth, junctions, plan), letters = _stem(lexicon, verb)
-    texts = _pack(verb, letters, depth, junctions, plan)
+    (junctions, plan), letters = _stem(lexicon, verb)
+    texts = _pack(verb, letters, junctions, plan)
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge
@@ -188,13 +187,12 @@ def conjugate(lexicon, verb):
 def conjugate_pair(lexicon, verb, ending):
     """Forms for one (stem, ending) pair; empty when all cells are blank. Only the
     pair's own steps are packed and checked, in file order."""
-    (_, junctions, plan), letters = _stem(lexicon, verb)
+    (junctions, plan), letters = _stem(lexicon, verb)
     found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
     if not found and all(e.surface != ending for e in lexicon.endings):
         raise NotFound(ending)
     if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
         found.sort(key=lambda item: lexicon.endings.index(item[0]))
     own = {slot: junctions[slot] for _, steps in found for _, _, slot, _ in steps}
-    depth = max([0] + [-stop for stop, _ in own.values() if stop])
-    texts = dict(zip(own, _pack(verb, letters, depth, own.values(), found)))
+    texts = dict(zip(own, _pack(verb, letters, own.values(), found)))
     return [form for entry, steps in found for form in _merged(verb, entry, steps, texts)]

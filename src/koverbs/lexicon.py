@@ -121,25 +121,31 @@ def _class_id(raw, high, path, line_no):
     return class_id
 
 
-def _letter_count(surface, path, line_no):
+def _check_letters(kind, surface, class_ids, needs, path, line_no):
+    """Refuse an empty or non-Hangul surface, or one shorter than its classes' slices."""
     if not surface:
         raise ParseError(path, line_no, "empty surface")
     try:
-        return len(hangul_codec.decompose(surface))
+        length = len(hangul_codec.decompose(surface))
     except NonHangulInput as err:
         raise ParseError(path, line_no, f"surface {surface!r}: {err}") from None
+    for class_id in class_ids:
+        need = needs.get(class_id, 0)
+        if length < need:
+            raise ParseError(path, line_no, f"{kind} {surface!r} has {length} letters but "
+                                            f"class {class_id} rules slice {need}")
 
 
-def _load_endings(path):
+def _load_endings(path, needs):
     entries = []
     for line_no, (surface, raw_class) in _rows(path, 2):
         class_id = _class_id(raw_class, ruleset.ENDING_CLASS_COUNT, path, line_no)
-        length = _letter_count(surface, path, line_no)
-        entries.append((line_no, length, EndingEntry(surface, class_id)))
+        _check_letters("ending", surface, (class_id,), needs, path, line_no)
+        entries.append(EndingEntry(surface, class_id))
     return entries
 
 
-def _load_verbs(path):
+def _load_verbs(path, needs):
     entries = {}
     for line_no, (surface, raw_classes) in _rows(path, 2):
         if surface in entries:
@@ -152,8 +158,8 @@ def _load_verbs(path):
             if class_id in class_ids:
                 raise ParseError(path, line_no, f"class id {class_id} repeated")
             class_ids.append(class_id)
-        length = _letter_count(surface, path, line_no)
-        entries[surface] = line_no, length, VerbEntry(surface, tuple(class_ids))
+        _check_letters("stem", surface, class_ids, needs, path, line_no)
+        entries[surface] = VerbEntry(surface, tuple(class_ids))
     return entries.values()
 
 
@@ -169,38 +175,15 @@ def _slice_needs(template):
 def load(endings_path, verbs_path, template_path):
     """Load and cross-validate the three data files into a Lexicon.
 
-    Besides per-line format checks, every entry's letter count is
-    checked against the deepest slice its classes' rules can take, so
-    a rule can never reach past an entry's letters at conjugation time.
+    Each ending and stem line is checked as it is read: its format, and
+    its letter count against the deepest slice its classes' rules can
+    take, so a rule can never reach past an entry's letters at
+    conjugation time.
     """
     template = ruleset.load_template(template_path)
-    raw_endings = _load_endings(endings_path)
-    raw_verbs = _load_verbs(verbs_path)
-
     verb_need, ending_need = _slice_needs(template)
-    for line_no, length, entry in raw_endings:
-        need = ending_need.get(entry.class_id, 0)
-        if length < need:
-            raise ParseError(
-                endings_path, line_no,
-                f"ending {entry.surface!r} has {length} letters but class "
-                f"{entry.class_id} rules slice {need}",
-            )
-    for line_no, length, entry in raw_verbs:
-        for class_id in entry.class_ids:
-            need = verb_need.get(class_id, 0)
-            if length < need:
-                raise ParseError(
-                    verbs_path, line_no,
-                    f"stem {entry.surface!r} has {length} letters but class "
-                    f"{class_id} rules slice {need}",
-                )
-
-    return Lexicon(
-        (entry for _, _, entry in raw_endings),
-        (entry for _, _, entry in raw_verbs),
-        template,
-    )
+    return Lexicon(_load_endings(endings_path, ending_need),
+                   _load_verbs(verbs_path, verb_need), template)
 
 
 def load_expectations(path):

@@ -221,7 +221,7 @@ def test_stem_shorter_than_its_plan_slices():
 def test_a_slice_out_of_bounds_names_its_source():
     # load rejects both lexicons. The stem 가 has 2 letters, and of its two
     # classes' rules the deepest drops 3; the ending 고 has 2, and its class's
-    # rule starts at 3, which fails when the plan compiles.
+    # rule starts at 3, which fails in every call that uses that step.
     template = Template({(1, 1): Rule(-1, (), None), (2, 1): Rule(-3, (), None)})
     short_stem = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1, 2))], template)
     for call in (lambda: cj.conjugate(short_stem, "가"),
@@ -244,16 +244,23 @@ def test_a_slice_out_of_bounds_names_its_source():
 
 
 def test_a_pair_checks_only_its_own_slices():
-    # Verb class 1 fills 고 with the identity rule and 다 with a rule that drops
-    # 3 letters, more than 가 has. The pair with 고 never slices the stem.
-    template = Template({(1, 1): IDENTITY_RULE, (1, 2): Rule(-3, (), None)})
-    lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 2)], [VerbEntry("가", (1,))], template)
-    assert [f.text for f in cj.conjugate_pair(lex, "가", "고")] == ["가고"]
-    for call in (lambda: cj.conjugate(lex, "가"), lambda: cj.conjugate_pair(lex, "가", "다")):
-        with pytest.raises(IndexOutOfBounds) as exc:
-            call()
-        assert str(exc.value) == ("stem '가' (verb class 1), rule -3,,None: "
-                                  "verb slice index -3 out of bounds for 2 letters")
+    # Verb class 1 fills 고 with the identity rule and 다 with a rule that
+    # slices 3 letters, more than 가 or 다 has: it drops 3 from the stem, or
+    # starts the ending at its third letter. The pair with 고 slices neither.
+    for rule, message in [
+        (Rule(-3, (), None), "stem '가' (verb class 1), rule -3,,None: "
+                             "verb slice index -3 out of bounds for 2 letters"),
+        (Rule(None, (), 3), "verb class 1 + ending '다' (ending class 2), rule None,,3: "
+                            "ending slice index 3 out of bounds for 2 letters"),
+    ]:
+        template = Template({(1, 1): IDENTITY_RULE, (1, 2): rule})
+        lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 2)], [VerbEntry("가", (1,))],
+                      template)
+        assert [f.text for f in cj.conjugate_pair(lex, "가", "고")] == ["가고"]
+        for call in (lambda: cj.conjugate(lex, "가"), lambda: cj.conjugate_pair(lex, "가", "다")):
+            with pytest.raises(IndexOutOfBounds) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def test_stops_from_the_stem_head_set_no_syllables_aside():
@@ -294,7 +301,7 @@ def test_the_plan_packs_each_ending_side_once():
              "다ㅏ": (("ㄷ", "ㅏ", "ㅏ"), ""), "ㅏ다ㅏ고": (("ㅏ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")}
     template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㅓ",), 1)})
     lex = Lexicon([EndingEntry(e, 1) for e in tails], [], template)
-    _, junctions, plan = cj._plan(lex, (1, 2))
+    junctions, plan = cj._plan(lex, (1, 2))
 
     def head_and_rest(step):
         _, _, slot, rest = step
@@ -463,28 +470,33 @@ def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
 # ------------------------------------------ the flat plan on hand-built lexicons
 
 def stuck(lexicon, verb, endings):
-    """apply_rule's error for the first step, over `endings` in order and then the
-    stem's classes, whose form cannot pack, with the source naming that step;
-    None when every form packs."""
+    """apply_rule's error and a source naming its step, for the first step, over
+    `endings` in order and then the stem's classes, that slices past its letters,
+    else for the first one whose form cannot pack; None when every form packs."""
+    unpackable = []
     for entry in endings:
         for verb_class in lexicon.verbs[verb].class_ids:
             rule = lexicon.template.lookup(verb_class, entry.class_id)
             if rule is None:
                 continue
+            stem = f"stem {verb!r} (verb class {verb_class})"
+            ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
+            rule_text = f", rule {serialize_rule(rule)}"
             try:
                 cj.apply_rule(decompose(verb), decompose(entry.surface), rule)
+            except IndexOutOfBounds as err:
+                source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
+                return err, source + rule_text
             except Uncomposable as err:
-                return err, (f"stem {verb!r} (verb class {verb_class}) + ending {entry.surface!r} "
-                             f"(ending class {entry.class_id}), rule {serialize_rule(rule)}")
-    return None
+                unpackable.append((err, f"{stem} + {ending}{rule_text}"))
+    return unpackable[0] if unpackable else None
 
 
 def assert_fails_as(call, failure):
     err, source = failure
-    with pytest.raises(Uncomposable) as exc:
+    with pytest.raises(type(err)) as exc:
         call()
-    assert (exc.value.letters, exc.value.position, exc.value.source) == (err.letters,
-                                                                         err.position, source)
+    assert vars(exc.value) == {**vars(err), "source": source}
     assert str(exc.value) == f"{source}: {err}"
 
 
@@ -494,7 +506,7 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
     # jamo ㄱ cannot pack: the pair with 다 fails on ㄱ + 다, not on ㄱ + 고.
     lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
-    _, junctions, plan = cj._plan(lex, (1,))
+    junctions, plan = cj._plan(lex, (1,))
     assert len(junctions) == 1 and [steps[0][2] for _, steps in plan] == [0, 0]
     for ending in ("고", "다"):
         assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),
@@ -504,12 +516,12 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
 # Ending sides that share heads across endings (고 and 다 cut before their
 # first letter, ㄴ다 and ㄴ가 after ㄴ, ㅏ다 after ㅏ), and some that get stuck
 # (다ㅏ, whose letters from 다 cannot pack, or a postfix vowel after the stem's
-# vowel). Every ending has 2 letters or more and every stem 3 or more, so no
-# slice reaches past them.
+# vowel). Endings have 2 letters or more and stems 3 or more, and verb stops
+# of -4 and ending starts of 3 slice past the shortest of them.
 HAND_ENDINGS = ("고", "다", "ㄴ다", "ㄴ가", "아서", "어", "ㄹ까", "ㅂ니다", "ㅏ다", "다ㅏ")
-hand_rules = st.builds(Rule, st.one_of(st.none(), st.integers(-3, 1)),
+hand_rules = st.builds(Rule, st.one_of(st.none(), st.integers(-4, 1)),
                        st.lists(st.sampled_from("ㅏㅓㄴㄹㅇㅎ"), max_size=2).map(tuple),
-                       st.one_of(st.none(), st.integers(1, 2)))
+                       st.one_of(st.none(), st.integers(1, 3)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,8 +535,9 @@ hand_rules = st.builds(Rule, st.one_of(st.none(), st.integers(-3, 1)),
 def test_the_flat_plan_matches_the_oracle_on_hand_built_lexicons(tail, heads, classes, cells,
                                                                  endings):
     # Stems share a tail behind 0-3 leading syllables or lone jamo, on a
-    # template with verb stops -3..1; conjugate, every pair and build_index
-    # give the oracle's forms, or apply_rule's error for the first failing step.
+    # template with verb stops -4..1 and ending starts 1..3; conjugate, every
+    # pair and build_index give the oracle's forms, or apply_rule's error for
+    # the first step that slices past its letters, else the first stuck one.
     stems = [head + tail for head in heads]
     lex = Lexicon(endings, [VerbEntry(verb, classes) for verb in stems], Template(cells))
     in_plan_order = sorted(endings, key=lambda e: e.class_id)

@@ -151,9 +151,11 @@ def test_non_hangul_surface(tmp_path):
 
 def test_ending_shorter_than_its_rules_slice(tmp_path):
     # Class 3 rules start the ending at letter 2, so a one-letter
-    # surface like the bare consonant ㄴ can never be sliced there.
+    # surface like the bare consonant ㄴ can never be sliced there. Each
+    # line is checked as it is read, so the later malformed line is not reached.
     with pytest.raises(ParseError) as exc:
-        lx.load(*write_data(tmp_path, endings="ㄴ\t3\n"))
+        lx.load(*write_data(tmp_path, endings="ㄴ\t3\n가\tx\n"))
+    assert exc.value.line == 1
     assert "slice" in exc.value.reason
 
 
