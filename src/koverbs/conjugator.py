@@ -9,7 +9,9 @@ distinct junction (the stem's kept letters plus the unpacked head of a
 rule's ending side) once per stem; a form is its junction's text plus
 the step's pre-packed rest. Every error is apply_rule's on one of the
 call's own steps, and names that step: the first one that slices past
-its letters, else the first one whose form cannot pack.
+its letters, else the first one whose form cannot pack. SurfaceForm's and
+LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per field,
+yet both compare, hash, order, repr and replace as frozen dataclasses.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from . import hangul_codec, ruleset
 from .errors import IndexOutOfBounds, NotFound, Uncomposable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceForm:
     text: str
     verb: str
@@ -27,6 +29,14 @@ class SurfaceForm:
     # Every (verb class, rule) pair that produced this text, in class order.
     # Distinct classes can yield the same text; those collapse to one form.
     provenance: tuple
+
+    def __init__(self, text, verb, ending, ending_class, provenance):
+        d = self.__dict__  # a frozen __init__ pays object.__setattr__ per field
+        d["text"] = text
+        d["verb"] = verb
+        d["ending"] = ending
+        d["ending_class"] = ending_class
+        d["provenance"] = provenance
 
     @property
     def verb_class(self):
@@ -78,16 +88,17 @@ def _apply_step(verb, entry, verb_class, rule):
 def _plan(lexicon, class_ids):
     """The conjugation plan shared by all stems of these verb classes, compiled on
     first use and cached on the lexicon: (junctions, ((EndingEntry, steps), ...)) by
-    ending class, then file order, without all-blank endings. A step (verb class,
-    rule, slot, rest) makes compose(stem letters[:verb stop] + head) + rest, which is
-    compose(stem letters[:verb stop] + tail) for its tail of postfix + ending letters
-    from the rule's start (see _pack_rest). Its slot indexes junctions, which hold
-    each distinct (verb stop, head) once, in order of first use; a rule that starts
-    past its ending's letters gets the head None, and fails only in a call that packs it."""
+    ending class, then file order, without all-blank endings. A step (provenance, slot,
+    rest), its provenance ((verb class, rule),) built once for all its forms, makes
+    compose(stem letters[:verb stop] + head) + rest = compose(stem letters[:verb stop]
+    + tail), its tail being postfix + ending letters from the rule's start (_pack_rest).
+    Its slot indexes junctions, each distinct (verb stop, head) once, in order of first
+    use; a rule starting past its ending's letters gets the head None, and fails only
+    in a call that packs it."""
     plan = lexicon._plans.get(class_ids)
     if plan is not None:
         return plan
-    slots, junctions, entries = {}, [], []
+    slots, entries = {}, []
     for ending_class, endings in lexicon._by_class.items():
         cells = [(c, lexicon.template.lookup(c, ending_class)) for c in class_ids if endings]
         rules = [(c, rule) for c, rule in cells if rule is not None]
@@ -100,12 +111,10 @@ def _plan(lexicon, class_ids):
                 head, rest = _pack_rest(rule.postfix + letters[rule.ending_start:])
                 if (rule.ending_start or 0) > len(letters):  # apply_rule raises, see _pack
                     head = None
-                slot = slots.setdefault((rule.verb_stop, head), len(junctions))
-                if slot == len(junctions):
-                    junctions.append((rule.verb_stop, head))
-                steps.append((c, rule, slot, rest))
+                slot = slots.setdefault((rule.verb_stop, head), len(slots))
+                steps.append((((c, rule),), slot, rest))
             entries.append((entry, tuple(steps)))
-    lexicon._plans[class_ids] = plan = tuple(junctions), tuple(entries)
+    lexicon._plans[class_ids] = plan = tuple(slots), tuple(entries)
     return plan
 
 
@@ -143,7 +152,7 @@ def _pack(verb, letters, junctions, entries):
             pass
     stuck = None
     for entry, steps in entries:
-        for verb_class, rule, *_ in steps:
+        for ((verb_class, rule),), *_ in steps:
             try:
                 _apply_step(verb, entry, verb_class, rule)
             except Uncomposable as err:
@@ -155,16 +164,16 @@ def _forms(lexicon, verb):
     """(text, EndingEntry, verb class) for each step of a stem's plan, in order."""
     (junctions, plan), letters = _stem(lexicon, verb)
     texts = _pack(verb, letters, junctions, plan)
-    return [(texts[slot] + rest, entry, verb_class)
-            for entry, steps in plan for verb_class, _, slot, rest in steps]
+    return [(texts[slot] + rest, entry, provenance[0][0])
+            for entry, steps in plan for provenance, slot, rest in steps]
 
 
 def _merged(verb, entry, steps, texts):
     """One plan entry's forms, each text that several classes make merged into one."""
     sources = {}
-    for verb_class, rule, slot, rest in steps:
+    for provenance, slot, rest in steps:
         text = texts[slot] + rest
-        sources[text] = sources.get(text, ()) + ((verb_class, rule),)
+        sources[text] = sources.get(text, ()) + provenance
     return tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
                  for text, provenance in sources.items())
 
@@ -176,9 +185,9 @@ def conjugate(lexicon, verb):
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge
-            (verb_class, rule, slot, rest), = steps
+            (provenance, slot, rest), = steps
             entries.append((entry, (SurfaceForm(texts[slot] + rest, verb, entry.surface,
-                                                entry.class_id, ((verb_class, rule),)),)))
+                                                entry.class_id, provenance),)))
         else:
             entries.append((entry, _merged(verb, entry, steps, texts)))
     return Paradigm(verb=verb, entries=tuple(entries))
@@ -193,6 +202,6 @@ def conjugate_pair(lexicon, verb, ending):
         raise NotFound(ending)
     if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
         found.sort(key=lambda item: lexicon.endings.index(item[0]))
-    own = {slot: junctions[slot] for _, steps in found for _, _, slot, _ in steps}
+    own = {slot: junctions[slot] for _, steps in found for _, slot, _ in steps}
     texts = dict(zip(own, _pack(verb, letters, own.values(), found)))
     return [form for entry, steps in found for form in _merged(verb, entry, steps, texts)]

@@ -4,6 +4,11 @@
 class KoverbsError(Exception):
     """Base class for every error this package raises on purpose."""
 
+    def __init__(self, message, source=None):
+        super().__init__(f"{source}: {message}" if source else message)
+        # Where it arose: a data file's path:line, or the stem, ending, classes and rule.
+        self.source = source
+
 
 class NonHangulInput(KoverbsError):
     """A character that is neither a precomposed syllable nor a known jamo."""
@@ -19,12 +24,9 @@ class Uncomposable(KoverbsError):
 
     def __init__(self, letters, position, source=None):
         shown = "".join(letters)
-        message = f"cannot compose {shown!r}: stuck at letter {position}"
-        super().__init__(f"{source}: {message}" if source else message)
+        super().__init__(f"cannot compose {shown!r}: stuck at letter {position}", source)
         self.letters = tuple(letters)
         self.position = position
-        # What was being combined, e.g. the stem, ending, classes and rule.
-        self.source = source
 
 
 class MalformedRule(KoverbsError):
@@ -40,7 +42,7 @@ class ParseError(KoverbsError):
     """A data file line that cannot be read."""
 
     def __init__(self, path, line, reason):
-        super().__init__(f"{path}:{line}: {reason}")
+        super().__init__(reason, f"{path}:{line}")
         self.path = str(path)
         self.line = line
         self.reason = reason
@@ -63,8 +65,8 @@ class ParseError(KoverbsError):
 class RangeError(KoverbsError):
     """A class id outside its valid range."""
 
-    def __init__(self, value, low, high):
-        super().__init__(f"class id {value} out of range {low}..{high}")
+    def __init__(self, value, low, high, source=None):
+        super().__init__(f"class id {value} out of range {low}..{high}", source)
         self.value = value
         self.low = low
         self.high = high
@@ -73,8 +75,8 @@ class RangeError(KoverbsError):
 class DuplicateVerb(KoverbsError):
     """The same stem surface listed twice in the verb file."""
 
-    def __init__(self, surface):
-        super().__init__(f"duplicate verb entry {surface!r}")
+    def __init__(self, surface, source=None):
+        super().__init__(f"duplicate verb entry {surface!r}", source)
         self.surface = surface
 
 
@@ -90,10 +92,7 @@ class IndexOutOfBounds(KoverbsError):
     """A rule slice index that reaches past the sequence it slices."""
 
     def __init__(self, which, index, length, source=None):
-        message = f"{which} slice index {index} out of bounds for {length} letters"
-        super().__init__(f"{source}: {message}" if source else message)
+        super().__init__(f"{which} slice index {index} out of bounds for {length} letters", source)
         self.which = which
         self.index = index
         self.length = length
-        # The stem or ending, its class and the rule that sliced it.
-        self.source = source

@@ -12,12 +12,19 @@ from . import conjugator
 from .errors import NotFound
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class LemmaCandidate:
     verb: str
     ending: str
     verb_class: int
     ending_class: int
+
+    def __init__(self, verb, ending, verb_class, ending_class):
+        d = self.__dict__  # a frozen __init__ pays object.__setattr__ per field
+        d["verb"] = verb
+        d["ending"] = ending
+        d["verb_class"] = verb_class
+        d["ending_class"] = ending_class
 
 
 class FormIndex:

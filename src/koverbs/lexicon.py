@@ -117,7 +117,7 @@ def _class_id(raw, high, path, line_no):
     if class_id is None:
         raise ParseError(path, line_no, f"class id {raw!r} is not an integer")
     if not 1 <= class_id <= high:
-        raise RangeError(class_id, 1, high)
+        raise RangeError(class_id, 1, high, f"{path}:{line_no}")
     return class_id
 
 
@@ -149,7 +149,7 @@ def _load_verbs(path, needs):
     entries = {}
     for line_no, (surface, raw_classes) in _rows(path, 2):
         if surface in entries:
-            raise DuplicateVerb(surface)
+            raise DuplicateVerb(surface, f"{path}:{line_no}")
         if not raw_classes:
             raise ParseError(path, line_no, "no class ids")
         class_ids = []

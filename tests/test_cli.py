@@ -266,6 +266,14 @@ def test_overlong_integer_is_a_data_error(tmp_path, capsys, name, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_class_id_out_of_range_names_its_file_and_line(tmp_path, capsys):
+    verbs = tmp_path / "verbs.tsv"
+    verbs.write_text("가\t99\n", encoding="utf-8")
+    code, out, err = run_cli(["--verbs", str(verbs), "conjugate", "가"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {verbs}:1: class id 99 out of range 1..46\n"
+
+
 def test_validate_empty_surface(tmp_path, capsys):
     endings = ENDINGS_PATH.read_text(encoding="utf-8") + "\t1\n"
     data = seed_dir(tmp_path, endings=endings)

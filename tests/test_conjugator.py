@@ -14,7 +14,7 @@ from koverbs.lemmatizer import build_index
 from koverbs.lexicon import EndingEntry, Lexicon, VerbEntry
 from koverbs.ruleset import ENDING_CLASS_COUNT, IDENTITY_RULE, Rule, Template, serialize_rule
 
-from conftest import shipped_paths
+from conftest import assert_acts_as_frozen_dataclass, shipped_paths
 from oracle import brute_force, flatten_paradigm, index_by_hand, merge_by_hand
 
 # Worked out by hand, one step per field: decompose both sides,
@@ -304,7 +304,7 @@ def test_the_plan_packs_each_ending_side_once():
     junctions, plan = cj._plan(lex, (1, 2))
 
     def head_and_rest(step):
-        _, _, slot, rest = step
+        _, slot, rest = step
         return junctions[slot][1], rest
 
     assert [(entry.surface, head_and_rest(steps[0])) for entry, steps in plan] == list(tails.items())
@@ -366,6 +366,14 @@ def test_a_run_of_stems_over_many_tails_indexes_as_the_oracle_does():
     lex = Lexicon([EndingEntry("고", 1)], [VerbEntry(s, (1,)) for s in stems], template)
     assert [(text, tuple(map(astuple, candidates))) for text, candidates in build_index(lex).items()] \
         == list(index_by_hand(lex).items())
+
+
+def test_surface_form_acts_as_a_frozen_dataclass(lexicon):
+    # 모르 has two classes, so some of its forms hold merged provenance.
+    forms = [form for verb in ("그렇", "모르", "가") for _, entry_forms in
+             cj.conjugate(lexicon, verb).entries for form in entry_forms]
+    assert any(len(form.provenance) > 1 for form in forms)
+    assert_acts_as_frozen_dataclass(cj.SurfaceForm, forms)
 
 
 # ---------------------------------------------------------------- oracle spots
@@ -507,7 +515,7 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
     lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
     junctions, plan = cj._plan(lex, (1,))
-    assert len(junctions) == 1 and [steps[0][2] for _, steps in plan] == [0, 0]
+    assert len(junctions) == 1 and [steps[0][1] for _, steps in plan] == [0, 0]
     for ending in ("고", "다"):
         assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),
                         stuck(lex, "ㄱ", [EndingEntry(ending, 1)]))

@@ -8,6 +8,7 @@ from koverbs.errors import NotFound
 from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST
 from koverbs.lexicon import Lexicon, VerbEntry
 
+from conftest import assert_acts_as_frozen_dataclass
 from oracle import index_by_hand
 
 
@@ -57,6 +58,16 @@ def test_candidates_are_sorted_tuples(index):
     for _, candidates in index.items():
         assert isinstance(candidates, tuple)
         assert list(candidates) == sorted(candidates)
+
+
+def test_lemma_candidate_acts_as_an_ordered_frozen_dataclass(index):
+    # Each of the last four built by hand differs from the first in one field,
+    # so every field decides some comparison.
+    built = [lm.LemmaCandidate("가", "아", 29, 15), lm.LemmaCandidate("가", "아", 29, 3),
+             lm.LemmaCandidate("가", "아", 30, 15), lm.LemmaCandidate("가", "어", 29, 15),
+             lm.LemmaCandidate("갈", "아", 29, 15)]
+    found = [c for form in ("가", "물어", "몰라", "그래야") for c in lm.lemmatize(index, form)]
+    assert_acts_as_frozen_dataclass(lm.LemmaCandidate, built + found, order=True)
 
 
 def test_unknown_scope_member(lexicon):

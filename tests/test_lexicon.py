@@ -71,21 +71,27 @@ def test_shipped_data_validates_clean(lexicon, expectations):
 # ---------------------------------------------------------------- load errors
 
 def test_verb_class_out_of_range(tmp_path):
+    paths = write_data(tmp_path, verbs="가\t47\n")
     with pytest.raises(RangeError) as exc:
-        lx.load(*write_data(tmp_path, verbs="가\t47\n"))
+        lx.load(*paths)
     assert exc.value.value == 47
+    assert str(exc.value) == f"{paths[1]}:1: class id 47 out of range 1..46"
 
 
 def test_ending_class_out_of_range(tmp_path):
+    paths = write_data(tmp_path, endings="고\t25\n")
     with pytest.raises(RangeError) as exc:
-        lx.load(*write_data(tmp_path, endings="고\t25\n"))
+        lx.load(*paths)
     assert exc.value.value == 25
+    assert str(exc.value) == f"{paths[0]}:1: class id 25 out of range 1..24"
 
 
 def test_duplicate_verb_surface(tmp_path):
+    paths = write_data(tmp_path, verbs="가\t29\n가\t30\n")
     with pytest.raises(DuplicateVerb) as exc:
-        lx.load(*write_data(tmp_path, verbs="가\t29\n가\t30\n"))
+        lx.load(*paths)
     assert exc.value.surface == "가"
+    assert str(exc.value) == f"{paths[1]}:2: duplicate verb entry '가'"
 
 
 def test_verb_field_count(tmp_path):
