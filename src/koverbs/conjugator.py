@@ -4,14 +4,16 @@ apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
 The plan of a class tuple, compiled here once and cached on the
-lexicon, lets conjugate, conjugate_pair and build_index pack each
-distinct junction (the stem's kept letters plus the unpacked head of a
-rule's ending side) once per stem; a form is its junction's text plus
-the step's pre-packed rest. Every error is apply_rule's on one of the
-call's own steps, and names that step: the first one that slices past
-its letters, else the first one whose form cannot pack. SurfaceForm's and
-LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per field,
-yet both compare, hash, order, repr and replace as frozen dataclasses.
+lexicon with each rule's ending side (_side, split once per lexicon
+and shared by every plan), lets conjugate, conjugate_pair and
+build_index pack each distinct junction (the stem's kept letters plus
+the unpacked head of an ending side) once per stem; a form is its
+junction's text plus the step's pre-packed rest. Every error is
+apply_rule's on one of the call's own steps, and names that step: the
+first one that slices past its letters, else the first one whose form
+cannot pack. SurfaceForm's and LemmaCandidate's __init__ fill __dict__,
+not object.__setattr__ per field, yet both compare, hash, order, repr
+and replace as frozen dataclasses.
 """
 
 from dataclasses import dataclass
@@ -89,47 +91,50 @@ def _plan(lexicon, class_ids):
     """The conjugation plan shared by all stems of these verb classes, compiled on
     first use and cached on the lexicon: (junctions, ((EndingEntry, steps), ...)) by
     ending class, then file order, without all-blank endings. A step (provenance, slot,
-    rest), its provenance ((verb class, rule),) built once for all its forms, makes
-    compose(stem letters[:verb stop] + head) + rest = compose(stem letters[:verb stop]
-    + tail), its tail being postfix + ending letters from the rule's start (_pack_rest).
-    Its slot indexes junctions, each distinct (verb stop, head) once, in order of first
-    use; a rule starting past its ending's letters gets the head None, and fails only
+    rest), its provenance ((verb class, rule),) built once for all its forms, takes
+    (head, rest) from the rule's side of its ending (_side). Its slot indexes junctions,
+    each distinct (verb stop, head) once, in order of first use; a head None fails only
     in a call that packs it."""
     plan = lexicon._plans.get(class_ids)
     if plan is not None:
         return plan
     slots, entries = {}, []
-    for ending_class, endings in lexicon._by_class.items():
-        cells = [(c, lexicon.template.lookup(c, ending_class)) for c in class_ids if endings]
-        rules = [(c, rule) for c, rule in cells if rule is not None]
-        if not rules:
-            continue
-        for entry in endings:
-            letters = hangul_codec.decompose(entry.surface)
-            steps = []
-            for c, rule in rules:
-                head, rest = _pack_rest(rule.postfix + letters[rule.ending_start:])
-                if (rule.ending_start or 0) > len(letters):  # apply_rule raises, see _pack
-                    head = None
+    for entry in sorted(lexicon.endings, key=lambda e: e.class_id):
+        steps = []
+        for c in class_ids:
+            rule = lexicon.template.lookup(c, entry.class_id)
+            if rule is not None:
+                head, rest = _side(lexicon, rule, entry.surface)
                 slot = slots.setdefault((rule.verb_stop, head), len(slots))
                 steps.append((((c, rule),), slot, rest))
+        if steps:
             entries.append((entry, tuple(steps)))
     lexicon._plans[class_ids] = plan = tuple(slots), tuple(entries)
     return plan
 
 
-def _pack_rest(tail):
-    """(head, rest): `tail` cut at its first consonant+vowel pair, the letters from
-    there packed as text; (tail, "") when there is no such pair or they cannot pack.
-    A consonant right before a vowel always starts a syllable, so for any letters,
-    compose(letters + tail) is compose(letters + head) + rest, and gets stuck
-    where compose(letters + head) does."""
-    cut = next((i for i in range(len(tail) - 1) if hangul_codec.is_consonant(tail[i])
-                and hangul_codec.is_vowel(tail[i + 1])), len(tail))
-    try:
-        return tail[:cut], hangul_codec.compose(tail[cut:])
-    except Uncomposable:
-        return tail, ""
+def _side(lexicon, rule, surface):
+    """(head, rest) for a rule's side of an ending, cached on the lexicon: its tail (the
+    postfix plus the ending's letters from the rule's start) cut at its first consonant+
+    vowel pair, the letters from there packed as text; (tail, "") when there is no such
+    pair or they cannot pack, (None, "") when the start is past the letters. A consonant
+    right before a vowel always starts a syllable, so for any letters, compose(letters +
+    tail) is compose(letters + head) + rest, and gets stuck where compose(letters + head) does."""
+    key = rule.postfix, rule.ending_start, surface
+    side = lexicon._plans.get(key)
+    if side is None:
+        letters = hangul_codec.decompose(surface)
+        tail = rule.postfix + letters[rule.ending_start:]
+        cut = next((i for i in range(len(tail) - 1) if tail[i] in hangul_codec.CONSONANTS
+                    and tail[i + 1] in hangul_codec.VOWEL_SET), len(tail))
+        try:
+            side = tail[:cut], hangul_codec.compose(tail[cut:])
+        except Uncomposable:
+            side = tail, ""
+        if (rule.ending_start or 0) > len(letters):  # apply_rule raises, see _pack
+            side = None, ""
+        lexicon._plans[key] = side
+    return side
 
 
 def _stem(lexicon, verb):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class KoverbsError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -8,6 +10,10 @@ class KoverbsError(Exception):
         super().__init__(f"{source}: {message}" if source else message)
         # Where it arose: a data file's path:line, or the stem, ending, classes and rule.
         self.source = source
+
+    def __reduce__(self):
+        # __init__ takes the fields and args holds the message: rebuild without __init__.
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class NonHangulInput(KoverbsError):

@@ -59,18 +59,6 @@ _FINAL_INDEX = {c: i for i, c in enumerate(FINALS) if c}
 _MERGE_FINAL = {pair: cluster for cluster, pair in CLUSTER_FINALS.items()}
 
 
-def is_consonant(letter):
-    return letter in CONSONANTS
-
-
-def is_vowel(letter):
-    return letter in VOWEL_SET
-
-
-def is_light_vowel(letter):
-    return letter in LIGHT_VOWELS
-
-
 def classify(letter):
     """Classify one letter as 'consonant', 'vowel(light)', or 'vowel(dark)'."""
     if letter in VOWEL_SET:

@@ -74,19 +74,16 @@ class Lexicon:
         self.endings = tuple(endings)
         self.verbs = {v.surface: v for v in verbs}
         self.template = template
-        by_class = {e: [] for e in range(1, ruleset.ENDING_CLASS_COUNT + 1)}
         for entry in self.endings:
-            if entry.class_id not in by_class:
+            if entry.class_id not in range(1, ruleset.ENDING_CLASS_COUNT + 1):
                 raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
-            by_class[entry.class_id].append(entry)
-        self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        self._plans = {}  # class tuple -> its conjugation plan, see conjugator._plan
+        self._plans = {}  # class tuple -> plan, (postfix, start, ending) -> side: see conjugator
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
         if not 1 <= ending_class <= ruleset.ENDING_CLASS_COUNT:
             raise RangeError(ending_class, 1, ruleset.ENDING_CLASS_COUNT)
-        return self._by_class[ending_class]
+        return tuple(e for e in self.endings if e.class_id == ending_class)
 
 
 def default_data_dir():
@@ -205,13 +202,13 @@ def run_check(check, surface):
     """Evaluate one surface predicate on a stem or ending surface."""
     letters = hangul_codec.decompose(surface)
     if check == "ends-with-consonant":
-        return hangul_codec.is_consonant(letters[-1])
+        return letters[-1] in hangul_codec.CONSONANTS
     if check == "last-vowel-is-light":
-        vowels = [l for l in letters if hangul_codec.is_vowel(l)]
-        return bool(vowels) and hangul_codec.is_light_vowel(vowels[-1])
+        vowels = [l for l in letters if l in hangul_codec.VOWEL_SET]
+        return bool(vowels) and vowels[-1] in hangul_codec.LIGHT_VOWELS
     if check == "starts-with-vowel":
         # Orthographically: the first syllable's onset is the silent ㅇ.
-        return letters[0] == "ㅇ" and len(letters) > 1 and hangul_codec.is_vowel(letters[1])
+        return letters[0] == "ㅇ" and len(letters) > 1 and letters[1] in hangul_codec.VOWEL_SET
     if check.startswith("ends-with-"):
         tail = check[len("ends-with-"):]
         if tail in hangul_codec.LETTERS:

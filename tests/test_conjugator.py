@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koverbs import conjugator as cj
-from koverbs import load_lexicon
+from koverbs import hangul_codec, load_lexicon
 from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
 from koverbs.hangul_codec import (CLUSTER_FINALS, LETTERS, SYLLABLE_BASE, SYLLABLE_LAST,
                                   compose, decompose)
@@ -574,3 +574,29 @@ def test_the_flat_plan_matches_the_oracle_on_hand_built_lexicons(tail, heads, cl
     else:
         assert [(text, tuple(map(astuple, candidates))) for text, candidates
                 in build_index(lex).items()] == list(index_by_hand(lex).items())
+
+
+def test_every_plan_shares_each_ending_side(monkeypatch):
+    # Compiling every shipped class tuple decomposes each distinct
+    # (postfix, start, ending) side once, however many plans use it.
+    lex = load_lexicon(*shipped_paths())
+    calls, original = [], hangul_codec.decompose
+    monkeypatch.setattr(hangul_codec, "decompose", lambda text: calls.append(text) or original(text))
+    plans = [cj._plan(lex, v.class_ids) for v in lex.verbs.values()]
+    sides = {(rule.postfix, rule.ending_start, entry.surface) for _, entries in plans
+             for entry, steps in entries for (((_, rule),), _, _) in steps}
+    assert len(calls) == len(sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(tuple),
+       second=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(tuple),
+       cells=st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 2)), hand_rules),
+       endings=st.lists(st.builds(EndingEntry, st.sampled_from(HAND_ENDINGS), st.integers(1, 2)),
+                        min_size=1, max_size=5, unique=True))
+def test_a_plan_does_not_depend_on_the_plans_compiled_before_it(first, second, cells, endings):
+    # Plans of one lexicon share its cached ending sides: compiling one class
+    # tuple first leaves the next one's plan as a fresh lexicon compiles it.
+    lex = Lexicon(endings, [], Template(cells))
+    cj._plan(lex, first)
+    assert cj._plan(lex, second) == cj._plan(Lexicon(endings, [], Template(cells)), second)

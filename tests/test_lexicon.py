@@ -59,9 +59,10 @@ def test_endings_of_class_range_check(lexicon):
 
 
 def test_lexicon_rejects_an_ending_class_out_of_range(lexicon):
-    with pytest.raises(RangeError) as exc:
-        lx.Lexicon([lx.EndingEntry("고", 30)], [], lexicon.template)
-    assert (exc.value.value, exc.value.low, exc.value.high) == (30, 1, 24)
+    for class_id in (30, 0, 25, "1"):
+        with pytest.raises(RangeError) as exc:
+            lx.Lexicon([lx.EndingEntry("고", class_id)], [], lexicon.template)
+        assert (exc.value.value, exc.value.low, exc.value.high) == (class_id, 1, 24)
 
 
 def test_shipped_data_validates_clean(lexicon, expectations):
