@@ -137,7 +137,7 @@ def cmd_validate(args, lex):
 def cmd_classes(args, lex):
     payload = {}
     if not args.endings_only:
-        members = {c: [] for c in range(1, ruleset.VERB_CLASS_COUNT + 1)}
+        members = {c: [] for c in ruleset.VERB_CLASSES}
         for entry in lex.verbs.values():
             for class_id in entry.class_ids:
                 members[class_id].append(entry.surface)
@@ -145,7 +145,7 @@ def cmd_classes(args, lex):
     if not args.verbs_only:
         payload["ending_classes"] = [
             {"id": c, "members": [e.surface for e in lex.endings_of_class(c)]}
-            for c in range(1, ruleset.ENDING_CLASS_COUNT + 1)
+            for c in ruleset.ENDING_CLASSES
         ]
     return payload, EXIT_OK
 

@@ -38,8 +38,8 @@ class Uncomposable(KoverbsError):
 class MalformedRule(KoverbsError):
     """A combination-rule string that does not follow the 3-field format."""
 
-    def __init__(self, text, reason):
-        super().__init__(f"bad rule {text!r}: {reason}")
+    def __init__(self, text, reason, source=None):
+        super().__init__(f"bad rule {text!r}: {reason}", source)
         self.text = text
         self.reason = reason
 
@@ -53,26 +53,12 @@ class ParseError(KoverbsError):
         self.line = line
         self.reason = reason
 
-    @classmethod
-    def not_utf8(cls, path):
-        """The error for a data file that is not UTF-8 text, at the line
-        of its first invalid byte."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            return cls(path, data.count(b"\n", 0, err.start) + 1,
-                       f"not UTF-8: byte {data[err.start]:#04x} at offset "
-                       f"{err.start} ({err.reason})")
-        return cls(path, 1, "not UTF-8")
-
 
 class RangeError(KoverbsError):
     """A class id outside its valid range."""
 
     def __init__(self, value, low, high, source=None):
-        super().__init__(f"class id {value} out of range {low}..{high}", source)
+        super().__init__(f"class id {value!r} out of range {low}..{high}", source)
         self.value = value
         self.low = low
         self.high = high

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hangul_codec, ruleset
-from .errors import DuplicateVerb, NonHangulInput, ParseError, RangeError
+from .errors import DuplicateVerb, NonHangulInput, ParseError
 
 ENDINGS_FILE = "endings.tsv"
 VERBS_FILE = "verbs.tsv"
@@ -74,15 +74,16 @@ class Lexicon:
         self.endings = tuple(endings)
         self.verbs = {v.surface: v for v in verbs}
         self.template = template
-        for entry in self.endings:
-            if entry.class_id not in range(1, ruleset.ENDING_CLASS_COUNT + 1):
-                raise RangeError(entry.class_id, 1, ruleset.ENDING_CLASS_COUNT)
+        for e in self.endings:
+            ruleset._check_class(e.class_id, ruleset.ENDING_CLASSES, f"ending {e.surface!r}")
+        for v in self.verbs.values():
+            for class_id in v.class_ids:
+                ruleset._check_class(class_id, ruleset.VERB_CLASSES, f"stem {v.surface!r}")
         self._plans = {}  # class tuple -> plan, (postfix, start, ending) -> side: see conjugator
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""
-        if not 1 <= ending_class <= ruleset.ENDING_CLASS_COUNT:
-            raise RangeError(ending_class, 1, ruleset.ENDING_CLASS_COUNT)
+        ruleset._check_class(ending_class, ruleset.ENDING_CLASSES)
         return tuple(e for e in self.endings if e.class_id == ending_class)
 
 
@@ -92,30 +93,23 @@ def default_data_dir():
 
 
 def _rows(path, width):
-    """(line number, fields) for each non-blank line of a UTF-8 TSV file
+    """(line number, fields) for each non-blank line of a TSV data file
     whose lines all hold `width` tab-separated fields."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != width:
-                    raise ParseError(path, line_no,
-                                     f"expected {width} tab-separated fields, got {len(fields)}")
-                yield line_no, fields
-    except UnicodeDecodeError:
-        raise ParseError.not_utf8(path) from None
+    for line_no, line in enumerate(ruleset._read(path).split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ParseError(path, line_no,
+                             f"expected {width} tab-separated fields, got {len(fields)}")
+        yield line_no, fields
 
 
-def _class_id(raw, high, path, line_no):
+def _class_id(raw, classes, path, line_no):
     class_id = ruleset._integer(raw)
     if class_id is None:
         raise ParseError(path, line_no, f"class id {raw!r} is not an integer")
-    if not 1 <= class_id <= high:
-        raise RangeError(class_id, 1, high, f"{path}:{line_no}")
-    return class_id
+    return ruleset._check_class(class_id, classes, f"{path}:{line_no}")
 
 
 def _check_letters(kind, surface, class_ids, needs, path, line_no):
@@ -136,7 +130,7 @@ def _check_letters(kind, surface, class_ids, needs, path, line_no):
 def _load_endings(path, needs):
     entries = []
     for line_no, (surface, raw_class) in _rows(path, 2):
-        class_id = _class_id(raw_class, ruleset.ENDING_CLASS_COUNT, path, line_no)
+        class_id = _class_id(raw_class, ruleset.ENDING_CLASSES, path, line_no)
         _check_letters("ending", surface, (class_id,), needs, path, line_no)
         entries.append(EndingEntry(surface, class_id))
     return entries
@@ -151,7 +145,7 @@ def _load_verbs(path, needs):
             raise ParseError(path, line_no, "no class ids")
         class_ids = []
         for piece in raw_classes.split(","):
-            class_id = _class_id(piece, ruleset.VERB_CLASS_COUNT, path, line_no)
+            class_id = _class_id(piece, ruleset.VERB_CLASSES, path, line_no)
             if class_id in class_ids:
                 raise ParseError(path, line_no, f"class id {class_id} repeated")
             class_ids.append(class_id)
@@ -188,8 +182,8 @@ def load_expectations(path):
     for line_no, (scope, raw_class, check, raw_expected) in _rows(path, 4):
         if scope not in ("verb", "ending"):
             raise ParseError(path, line_no, f"scope must be verb or ending, got {scope!r}")
-        high = ruleset.VERB_CLASS_COUNT if scope == "verb" else ruleset.ENDING_CLASS_COUNT
-        class_id = _class_id(raw_class, high, path, line_no)
+        classes = ruleset.VERB_CLASSES if scope == "verb" else ruleset.ENDING_CLASSES
+        class_id = _class_id(raw_class, classes, path, line_no)
         if check not in CHECKS:
             raise ParseError(path, line_no, f"unknown check {check!r}")
         if raw_expected not in ("true", "false"):

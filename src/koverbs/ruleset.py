@@ -15,6 +15,8 @@ from .errors import MalformedRule, ParseError, RangeError
 
 VERB_CLASS_COUNT = 46
 ENDING_CLASS_COUNT = 24
+VERB_CLASSES = range(1, VERB_CLASS_COUNT + 1)
+ENDING_CLASSES = range(1, ENDING_CLASS_COUNT + 1)
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,12 @@ def serialize_rule(rule):
     return "%s,%s,%s" % (stop, "".join(rule.postfix), start)
 
 
-def _check_class_ids(verb_class, ending_class):
-    if not 1 <= verb_class <= VERB_CLASS_COUNT:
-        raise RangeError(verb_class, 1, VERB_CLASS_COUNT)
-    if not 1 <= ending_class <= ENDING_CLASS_COUNT:
-        raise RangeError(ending_class, 1, ENDING_CLASS_COUNT)
+def _check_class(class_id, classes, source=None):
+    """The class id, if `classes` (VERB_CLASSES or ENDING_CLASSES) holds it.
+    Membership, not comparison: a string id is out of range, not a TypeError."""
+    if class_id not in classes:
+        raise RangeError(class_id, classes[0], classes[-1], source)
+    return class_id
 
 
 class Template:
@@ -91,12 +94,13 @@ class Template:
     def __init__(self, cells):
         self._cells = dict(cells)
         for verb_class, ending_class in self._cells:
-            _check_class_ids(verb_class, ending_class)
+            _check_class(verb_class, VERB_CLASSES)
+            _check_class(ending_class, ENDING_CLASSES)
 
     def lookup(self, verb_class, ending_class):
         """Return the Rule for a cell, or None when the cell is blank."""
-        _check_class_ids(verb_class, ending_class)
-        return self._cells.get((verb_class, ending_class))
+        return self._cells.get((_check_class(verb_class, VERB_CLASSES),
+                                _check_class(ending_class, ENDING_CLASSES)))
 
     def cells(self):
         """All populated cells as ((verb_class, ending_class), Rule) pairs."""
@@ -107,11 +111,11 @@ class Template:
 
     def serialize(self):
         """Render the grid back to TSV, byte-identical to the shipped file."""
-        header = "\t".join([""] + [str(e) for e in range(1, ENDING_CLASS_COUNT + 1)])
+        header = "\t".join([""] + [str(e) for e in ENDING_CLASSES])
         lines = [header]
-        for verb_class in range(1, VERB_CLASS_COUNT + 1):
+        for verb_class in VERB_CLASSES:
             row = [str(verb_class)]
-            for ending_class in range(1, ENDING_CLASS_COUNT + 1):
+            for ending_class in ENDING_CLASSES:
                 rule = self._cells.get((verb_class, ending_class))
                 row.append("" if rule is None else serialize_rule(rule))
             lines.append("\t".join(row))
@@ -127,7 +131,7 @@ def parse_template(text, source="<template>"):
     if len(lines) != VERB_CLASS_COUNT + 1:
         raise ParseError(source, 1, f"expected {VERB_CLASS_COUNT + 1} rows, got {len(lines)}")
 
-    expected_header = [""] + [str(e) for e in range(1, ENDING_CLASS_COUNT + 1)]
+    expected_header = [""] + [str(e) for e in ENDING_CLASSES]
     if lines[0].split("\t") != expected_header:
         raise ParseError(source, 1, "header must be blank then ending class ids 1..24")
 
@@ -142,14 +146,26 @@ def parse_template(text, source="<template>"):
         for ending_class, cell in enumerate(fields[1:], start=1):
             if cell == "":
                 continue
-            cells[(verb_class, ending_class)] = parse_rule(cell)
+            try:
+                cells[(verb_class, ending_class)] = parse_rule(cell)
+            except MalformedRule as err:
+                raise MalformedRule(err.text, err.reason, f"{source}:{line_no}") from None
     return Template(cells)
 
 
-def load_template(path):
+def _read(path):
+    """A data file's text, decoded whole as UTF-8 before any line is read,
+    with CRLF and CR line ends read as LF (as open() in text mode does)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise ParseError.not_utf8(path) from None
-    return parse_template(text, source=path)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(path, data.count(b"\n", 0, err.start) + 1,
+                         f"not UTF-8: byte {data[err.start]:#04x} at offset "
+                         f"{err.start} ({err.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_template(path):
+    return parse_template(_read(path), source=path)

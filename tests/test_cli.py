@@ -241,8 +241,9 @@ def test_validate_malformed_template_cell(tmp_path, capsys):
     template = TEMPLATE_PATH.read_text(encoding="utf-8").replace("-2,ㅐ,2", "-2,ㅐ", 1)
     data = seed_dir(tmp_path, template=template)
     code, out, err = run_cli(["--data-dir", str(data), "validate"], capsys)
-    assert code == 2
-    assert err.startswith("error:")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {data / 'template.tsv'}:9: bad rule '-2,ㅐ': "
+                   "expected 3 comma-separated fields, got 2\n")
 
 
 @pytest.mark.parametrize("name,argv", [

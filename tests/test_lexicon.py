@@ -6,6 +6,7 @@ from koverbs.errors import DuplicateVerb, ParseError, RangeError
 from conftest import shipped_paths
 
 ENDINGS_PATH, VERBS_PATH, TEMPLATE_PATH = shipped_paths()
+EXPECTATIONS_PATH = ENDINGS_PATH.parent / lx.EXPECTATIONS_FILE
 
 
 def write_data(tmp_path, endings=None, verbs=None, template=None):
@@ -56,13 +57,37 @@ def test_endings_of_class_range_check(lexicon):
         lexicon.endings_of_class(0)
     with pytest.raises(RangeError):
         lexicon.endings_of_class(25)
+    with pytest.raises(RangeError) as exc:
+        lexicon.endings_of_class("1")
+    assert str(exc.value) == "class id '1' out of range 1..24"
 
 
 def test_lexicon_rejects_an_ending_class_out_of_range(lexicon):
     for class_id in (30, 0, 25, "1"):
         with pytest.raises(RangeError) as exc:
             lx.Lexicon([lx.EndingEntry("고", class_id)], [], lexicon.template)
-        assert (exc.value.value, exc.value.low, exc.value.high) == (class_id, 1, 24)
+        assert (exc.value.value, exc.value.low, exc.value.high, exc.value.source) == \
+            (class_id, 1, 24, "ending '고'")
+
+
+def test_lexicon_rejects_a_verb_class_out_of_range(lexicon):
+    for class_id in (99, 0, "1"):
+        with pytest.raises(RangeError) as exc:
+            lx.Lexicon([], [lx.VerbEntry("가", (29, class_id))], lexicon.template)
+        assert (exc.value.value, exc.value.low, exc.value.high, exc.value.source) == \
+            (class_id, 1, 46, "stem '가'")
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+def test_cr_line_ends_load_the_same_data(tmp_path, lexicon, expectations, newline):
+    paths = []
+    for shipped in (*shipped_paths(), EXPECTATIONS_PATH):
+        paths.append(tmp_path / shipped.name)
+        paths[-1].write_bytes(shipped.read_bytes().replace(b"\n", newline))
+    copy = lx.load(*paths[:3])
+    assert (copy.endings, copy.verbs, copy.template.serialize()) == \
+        (lexicon.endings, lexicon.verbs, lexicon.template.serialize())
+    assert lx.load_expectations(paths[3]) == expectations
 
 
 def test_shipped_data_validates_clean(lexicon, expectations):
@@ -102,6 +127,18 @@ def test_verb_field_count(tmp_path):
             lx.load(*write_data(tmp_path, verbs=verbs))
         assert exc.value.line == line
         assert "2 tab-separated" in exc.value.reason
+
+
+def test_a_file_that_is_not_utf8_is_refused_before_any_line(tmp_path):
+    # Line 2 is malformed, but the bad byte lies past the text decoder's first 8 KB.
+    paths = write_data(tmp_path)
+    filler = "".join(f"{stem}\t29\n" for stem in ("가", "나", "다", "자", "차") * 400)
+    paths[1].write_bytes(("가\t29\n가\n" + filler).encode("utf-8") + b"\xff\n")
+    assert paths[1].stat().st_size > 8192
+    with pytest.raises(ParseError) as exc:
+        lx.load(*paths)
+    assert (exc.value.line, exc.value.reason) == \
+        (2003, f"not UTF-8: byte 0xff at offset {paths[1].stat().st_size - 2} (invalid start byte)")
 
 
 def test_verb_class_not_integer(tmp_path):

@@ -91,6 +91,12 @@ def test_lookup_range_checks(template):
         template.lookup(47, 1)
     with pytest.raises(RangeError):
         template.lookup(1, 25)
+    with pytest.raises(RangeError):
+        template.lookup("1", 1)
+    with pytest.raises(RangeError):
+        template.lookup(1, "1")
+    with pytest.raises(RangeError):
+        ruleset.Template({("1", 1): ruleset.IDENTITY_RULE})
 
 
 def test_first_column_is_always_identity(template):
@@ -142,5 +148,6 @@ def test_parse_template_shape_errors(mangle, reason_piece):
 def test_parse_template_propagates_malformed_cells():
     lines = TEMPLATE_PATH.read_text(encoding="utf-8").splitlines()
     lines[8] = lines[8].replace("-2,ㅐ,2", "-2,ㅐ")
-    with pytest.raises(MalformedRule):
+    with pytest.raises(MalformedRule) as exc:
         ruleset.parse_template("\n".join(lines) + "\n")
+    assert (exc.value.text, exc.value.source) == ("-2,ㅐ", "<template>:9")
