@@ -12,8 +12,8 @@ junction's text plus the step's pre-packed rest. Every error is
 apply_rule's on one of the call's own steps, and names that step: the
 first one that slices past its letters, else the first one whose form
 cannot pack. SurfaceForm's and LemmaCandidate's __init__ fill __dict__,
-not object.__setattr__ per field, yet both compare, hash, order, repr
-and replace as frozen dataclasses.
+not object.__setattr__ per field, yet both compare, hash, repr and
+replace as frozen dataclasses, and LemmaCandidate orders as one too.
 """
 
 from dataclasses import dataclass

@@ -1,6 +1,6 @@
 """TSV lexicon loading, class-indexed views, and feature validation.
 
-Three data files make up a lexicon:
+Three data files make up a lexicon (in every data file, blank lines are skipped):
 
   endings.tsv   surface TAB ending class id (one class per line; the
                 same surface may recur under several classes)
@@ -92,19 +92,6 @@ def default_data_dir():
     return Path(__file__).parent / "data"
 
 
-def _rows(path, width):
-    """(line number, fields) for each non-blank line of a TSV data file
-    whose lines all hold `width` tab-separated fields."""
-    for line_no, line in enumerate(ruleset._read(path).split("\n"), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
-            raise ParseError(path, line_no,
-                             f"expected {width} tab-separated fields, got {len(fields)}")
-        yield line_no, fields
-
-
 def _class_id(raw, classes, path, line_no):
     class_id = ruleset._integer(raw)
     if class_id is None:
@@ -129,7 +116,7 @@ def _check_letters(kind, surface, class_ids, needs, path, line_no):
 
 def _load_endings(path, needs):
     entries = []
-    for line_no, (surface, raw_class) in _rows(path, 2):
+    for line_no, (surface, raw_class) in ruleset._rows(ruleset._read(path), 2, path):
         class_id = _class_id(raw_class, ruleset.ENDING_CLASSES, path, line_no)
         _check_letters("ending", surface, (class_id,), needs, path, line_no)
         entries.append(EndingEntry(surface, class_id))
@@ -138,7 +125,7 @@ def _load_endings(path, needs):
 
 def _load_verbs(path, needs):
     entries = {}
-    for line_no, (surface, raw_classes) in _rows(path, 2):
+    for line_no, (surface, raw_classes) in ruleset._rows(ruleset._read(path), 2, path):
         if surface in entries:
             raise DuplicateVerb(surface, f"{path}:{line_no}")
         if not raw_classes:
@@ -179,7 +166,7 @@ def load(endings_path, verbs_path, template_path):
 
 def load_expectations(path):
     expectations = []
-    for line_no, (scope, raw_class, check, raw_expected) in _rows(path, 4):
+    for line_no, (scope, raw_class, check, raw_expected) in ruleset._rows(ruleset._read(path), 4, path):
         if scope not in ("verb", "ending"):
             raise ParseError(path, line_no, f"scope must be verb or ending, got {scope!r}")
         classes = ruleset.VERB_CLASSES if scope == "verb" else ruleset.ENDING_CLASSES

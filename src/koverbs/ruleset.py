@@ -17,6 +17,7 @@ VERB_CLASS_COUNT = 46
 ENDING_CLASS_COUNT = 24
 VERB_CLASSES = range(1, VERB_CLASS_COUNT + 1)
 ENDING_CLASSES = range(1, ENDING_CLASS_COUNT + 1)
+_HEADER = [""] + [str(e) for e in ENDING_CLASSES]
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,7 @@ class Template:
 
     def serialize(self):
         """Render the grid back to TSV, byte-identical to the shipped file."""
-        header = "\t".join([""] + [str(e) for e in ENDING_CLASSES])
-        lines = [header]
+        lines = ["\t".join(_HEADER)]
         for verb_class in VERB_CLASSES:
             row = [str(verb_class)]
             for ending_class in ENDING_CLASSES:
@@ -125,37 +125,29 @@ class Template:
 def parse_template(text, source="<template>"):
     """Parse template TSV text: a header row of ending class ids, then
     one row per verb class with the class id in the first column."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) != VERB_CLASS_COUNT + 1:
-        raise ParseError(source, 1, f"expected {VERB_CLASS_COUNT + 1} rows, got {len(lines)}")
-
-    expected_header = [""] + [str(e) for e in ENDING_CLASSES]
-    if lines[0].split("\t") != expected_header:
-        raise ParseError(source, 1, "header must be blank then ending class ids 1..24")
+    rows = list(_rows(text, ENDING_CLASS_COUNT + 1, source))
+    if len(rows) != VERB_CLASS_COUNT + 1:
+        raise ParseError(source, 1, f"expected {VERB_CLASS_COUNT + 1} rows, got {len(rows)}")
+    (line_no, header), *body = rows
+    if header != _HEADER:
+        raise ParseError(source, line_no, "header must be blank then ending class ids 1..24")
 
     cells = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != ENDING_CLASS_COUNT + 1:
-            raise ParseError(source, line_no, f"expected {ENDING_CLASS_COUNT + 1} columns, got {len(fields)}")
-        verb_class = line_no - 1
+    for verb_class, (line_no, fields) in zip(VERB_CLASSES, body):
         if fields[0] != str(verb_class):
             raise ParseError(source, line_no, f"row label {fields[0]!r}, expected {verb_class}")
-        for ending_class, cell in enumerate(fields[1:], start=1):
-            if cell == "":
-                continue
-            try:
-                cells[(verb_class, ending_class)] = parse_rule(cell)
-            except MalformedRule as err:
-                raise MalformedRule(err.text, err.reason, f"{source}:{line_no}") from None
+        for ending_class, cell in zip(ENDING_CLASSES, fields[1:]):
+            if cell:
+                try:
+                    cells[(verb_class, ending_class)] = parse_rule(cell)
+                except MalformedRule as err:
+                    raise MalformedRule(err.text, err.reason, f"{source}:{line_no}") from None
     return Template(cells)
 
 
 def _read(path):
-    """A data file's text, decoded whole as UTF-8 before any line is read,
-    with CRLF and CR line ends read as LF (as open() in text mode does)."""
+    """A data file's text, decoded whole as UTF-8 before any line is read, less one
+    leading BOM, with CRLF and CR line ends read as LF (as open() in text mode does)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -164,7 +156,19 @@ def _read(path):
         raise ParseError(path, data.count(b"\n", 0, err.start) + 1,
                          f"not UTF-8: byte {data[err.start]:#04x} at offset "
                          f"{err.start} ({err.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _rows(text, width, source):
+    """(line number, fields) for each non-blank line of a data file's text (blank
+    lines still count), each of whose lines must hold `width` tab-separated fields."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ParseError(source, line_no, f"expected {width} tab-separated columns, got {len(fields)}")
+        yield line_no, fields
 
 
 def load_template(path):

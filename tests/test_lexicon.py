@@ -78,12 +78,17 @@ def test_lexicon_rejects_a_verb_class_out_of_range(lexicon):
             (class_id, 1, 46, "stem '가'")
 
 
-@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
-def test_cr_line_ends_load_the_same_data(tmp_path, lexicon, expectations, newline):
+@pytest.mark.parametrize("rewrite", [
+    lambda data: data.replace(b"\n", b"\r\n"),
+    lambda data: data.replace(b"\n", b"\r"),
+    lambda data: "\ufeff".encode("utf-8") + data,
+    lambda data: data.replace(b"\n", b"\n\n"),
+], ids=["CRLF", "CR", "BOM", "blank lines"])
+def test_cr_line_ends_load_the_same_data(tmp_path, lexicon, expectations, rewrite):
     paths = []
     for shipped in (*shipped_paths(), EXPECTATIONS_PATH):
         paths.append(tmp_path / shipped.name)
-        paths[-1].write_bytes(shipped.read_bytes().replace(b"\n", newline))
+        paths[-1].write_bytes(rewrite(shipped.read_bytes()))
     copy = lx.load(*paths[:3])
     assert (copy.endings, copy.verbs, copy.template.serialize()) == \
         (lexicon.endings, lexicon.verbs, lexicon.template.serialize())
@@ -139,6 +144,17 @@ def test_a_file_that_is_not_utf8_is_refused_before_any_line(tmp_path):
         lx.load(*paths)
     assert (exc.value.line, exc.value.reason) == \
         (2003, f"not UTF-8: byte 0xff at offset {paths[1].stat().st_size - 2} (invalid start byte)")
+
+
+def test_a_byte_order_mark_keeps_the_file_offset_of_a_bad_byte(tmp_path):
+    # The mark is dropped after decoding, so offsets still count from the file's start.
+    paths = write_data(tmp_path)
+    head = "\ufeff가\t29\n".encode("utf-8")
+    paths[1].write_bytes(head + b"\xff\n")
+    with pytest.raises(ParseError) as exc:
+        lx.load(*paths)
+    assert (exc.value.line, exc.value.reason) == \
+        (2, f"not UTF-8: byte 0xff at offset {len(head)} (invalid start byte)")
 
 
 def test_verb_class_not_integer(tmp_path):
@@ -288,6 +304,11 @@ def test_load_expectations_errors(tmp_path, line, err):
 ])
 def test_run_check(check, surface, result):
     assert lx.run_check(check, surface) is result
+
+
+def test_run_check_refuses_an_unknown_check():
+    with pytest.raises(ValueError, match="'no-such-check'"):
+        lx.run_check("no-such-check", "가")
 
 
 # ---------------------------------------------------------------- violations

@@ -151,3 +151,15 @@ def test_parse_template_propagates_malformed_cells():
     with pytest.raises(MalformedRule) as exc:
         ruleset.parse_template("\n".join(lines) + "\n")
     assert (exc.value.text, exc.value.source) == ("-2,ㅐ", "<template>:9")
+
+
+@pytest.mark.parametrize("mangle,error", [
+    (lambda line: line.replace("-2,ㅐ,2", "-2,ㅐ"), MalformedRule),
+    (lambda line: line.replace("8\t", "9\t", 1), ParseError),
+], ids=["bad cell", "row label"])
+def test_template_errors_name_the_physical_line_past_a_blank_line(mangle, error):
+    lines = TEMPLATE_PATH.read_text(encoding="utf-8").splitlines()
+    lines[8:9] = ["", mangle(lines[8])]
+    with pytest.raises(error) as exc:
+        ruleset.parse_template("\n".join(lines) + "\n")
+    assert str(exc.value).startswith("<template>:10: ")
