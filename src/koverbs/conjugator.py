@@ -3,11 +3,11 @@
 apply_rule is the whole combination algorithm: slice the verb's
 letters from the tail, append the rule's postfix, append the ending's
 letters sliced from the head, and pack the result back into syllables.
-The plan of a class tuple, compiled here once and cached on the
-lexicon with each rule's ending side (_side, split once per lexicon
-and shared by every plan), lets conjugate, conjugate_pair and
-build_index pack each distinct junction (the stem's kept letters plus
-the unpacked head of an ending side) once per stem; a form is its
+Every call takes one path (_packed): the plan of the stem's classes
+over the call's endings (every ending, cached per class tuple on the
+lexicon, or a pair's own ending lines), whose distinct junctions (the
+stem's kept letters plus the unpacked head of a rule's ending side,
+_side, split once per lexicon) are packed once; a form is its
 junction's text plus the step's pre-packed rest. Every error is
 apply_rule's on one of the call's own steps, and names that step: the
 first one that slices past its letters, else the first one whose form
@@ -87,19 +87,22 @@ def _apply_step(verb, entry, verb_class, rule):
         raise Uncomposable(err.letters, err.position, f"{stem} + {ending}{rule_text}") from None
 
 
-def _plan(lexicon, class_ids):
-    """The conjugation plan shared by all stems of these verb classes, compiled on
-    first use and cached on the lexicon: (junctions, ((EndingEntry, steps), ...)) by
-    ending class, then file order, without all-blank endings. A step (provenance, slot,
-    rest), its provenance ((verb class, rule),) built once for all its forms, takes
-    (head, rest) from the rule's side of its ending (_side). Its slot indexes junctions,
-    each distinct (verb stop, head) once, in order of first use; a head None fails only
-    in a call that packs it."""
-    plan = lexicon._plans.get(class_ids)
-    if plan is not None:
+def _plan(lexicon, class_ids, endings=None):
+    """The conjugation plan of these verb classes over `endings`, in their order; by
+    default every ending, by ending class, then file order, compiled on first use and
+    cached on the lexicon: (junctions, ((EndingEntry, steps), ...)), without all-blank
+    endings. A step (provenance, slot, rest), its provenance ((verb class, rule),) built
+    once for all its forms, takes (head, rest) from the rule's side of its ending (_side).
+    Its slot indexes junctions, each distinct (verb stop, head) once, in order of first
+    use; a head None fails only in a call that packs it."""
+    if endings is None:
+        plan = lexicon._plans.get(class_ids)
+        if plan is None:
+            every = sorted(lexicon.endings, key=lambda e: e.class_id)
+            lexicon._plans[class_ids] = plan = _plan(lexicon, class_ids, every)
         return plan
     slots, entries = {}, []
-    for entry in sorted(lexicon.endings, key=lambda e: e.class_id):
+    for entry in endings:
         steps = []
         for c in class_ids:
             rule = lexicon.template.lookup(c, entry.class_id)
@@ -109,8 +112,7 @@ def _plan(lexicon, class_ids):
                 steps.append((((c, rule),), slot, rest))
         if steps:
             entries.append((entry, tuple(steps)))
-    lexicon._plans[class_ids] = plan = tuple(slots), tuple(entries)
-    return plan
+    return tuple(slots), tuple(entries)
 
 
 def _side(lexicon, rule, surface):
@@ -137,14 +139,6 @@ def _side(lexicon, rule, surface):
     return side
 
 
-def _stem(lexicon, verb):
-    """The plan for a stem's classes, and the stem's letters."""
-    verb_entry = lexicon.verbs.get(verb)
-    if verb_entry is None:
-        raise NotFound(verb)
-    return _plan(lexicon, verb_entry.class_ids), hangul_codec.decompose(verb)
-
-
 def _pack(verb, letters, junctions, entries):
     """Each junction's text, compose(letters[:stop] + head), in order. If one stops past
     the stem, has no head or gets stuck, apply_rule's error raises for the first step of
@@ -165,10 +159,18 @@ def _pack(verb, letters, junctions, entries):
     raise stuck  # a step fails wherever its junction does
 
 
+def _packed(lexicon, verb, endings=None):
+    """A stem's plan over `endings` (see _plan), and its junctions' texts, packed."""
+    verb_entry = lexicon.verbs.get(verb)
+    if verb_entry is None:
+        raise NotFound(verb)
+    junctions, plan = _plan(lexicon, verb_entry.class_ids, endings)
+    return plan, _pack(verb, hangul_codec.decompose(verb), junctions, plan)
+
+
 def _forms(lexicon, verb):
     """(text, EndingEntry, verb class) for each step of a stem's plan, in order."""
-    (junctions, plan), letters = _stem(lexicon, verb)
-    texts = _pack(verb, letters, junctions, plan)
+    plan, texts = _packed(lexicon, verb)
     return [(texts[slot] + rest, entry, provenance[0][0])
             for entry, steps in plan for provenance, slot, rest in steps]
 
@@ -185,8 +187,7 @@ def _merged(verb, entry, steps, texts):
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    (junctions, plan), letters = _stem(lexicon, verb)
-    texts = _pack(verb, letters, junctions, plan)
+    plan, texts = _packed(lexicon, verb)
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge
@@ -199,14 +200,11 @@ def conjugate(lexicon, verb):
 
 
 def conjugate_pair(lexicon, verb, ending):
-    """Forms for one (stem, ending) pair; empty when all cells are blank. Only the
-    pair's own steps are packed and checked, in file order."""
-    (junctions, plan), letters = _stem(lexicon, verb)
-    found = [(entry, steps) for entry, steps in plan if entry.surface == ending]
-    if not found and all(e.surface != ending for e in lexicon.endings):
+    """Forms for one (stem, ending) pair, in file order; empty when all cells are blank.
+    The plan covers only the pair's own ending lines, so only their steps are packed
+    and checked."""
+    lines = [e for e in lexicon.endings if e.surface == ending]
+    plan, texts = _packed(lexicon, verb, lines)
+    if not lines:
         raise NotFound(ending)
-    if len(found) > 1:  # the plan runs by ending class; a pair keeps file order
-        found.sort(key=lambda item: lexicon.endings.index(item[0]))
-    own = {slot: junctions[slot] for _, steps in found for _, slot, _ in steps}
-    texts = dict(zip(own, _pack(verb, letters, own.values(), found)))
-    return [form for entry, steps in found for form in _merged(verb, entry, steps, texts)]
+    return [form for entry, steps in plan for form in _merged(verb, entry, steps, texts)]

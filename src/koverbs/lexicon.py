@@ -180,7 +180,9 @@ def load_expectations(path):
 
 
 def run_check(check, surface):
-    """Evaluate one surface predicate on a stem or ending surface."""
+    """Evaluate one surface predicate, named in CHECKS, on a stem or ending surface."""
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}")
     letters = hangul_codec.decompose(surface)
     if check == "ends-with-consonant":
         return letters[-1] in hangul_codec.CONSONANTS
@@ -190,12 +192,10 @@ def run_check(check, surface):
     if check == "starts-with-vowel":
         # Orthographically: the first syllable's onset is the silent ㅇ.
         return letters[0] == "ㅇ" and len(letters) > 1 and letters[1] in hangul_codec.VOWEL_SET
-    if check.startswith("ends-with-"):
-        tail = check[len("ends-with-"):]
-        if tail in hangul_codec.LETTERS:
-            return letters[-1] == tail
-        return surface.endswith(tail)  # whole-syllable checks like 하 or 르
-    raise ValueError(f"unknown check {check!r}")
+    tail = check.removeprefix("ends-with-")
+    if tail in hangul_codec.LETTERS:
+        return letters[-1] == tail
+    return surface.endswith(tail)  # whole-syllable checks like 하 or 르
 
 
 def validate(lexicon, expectations):

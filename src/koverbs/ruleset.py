@@ -40,43 +40,35 @@ def _integer(raw):
     return int(raw) if raw.isascii() and canonical else None
 
 
+def _rule_index(text, raw, name, sign):
+    """A rule's index field: None for "None", else an integer of the sign (-1 or 1)
+    that `name` takes; `text` is the whole rule, for the error."""
+    if raw == "None":
+        return None
+    value = _integer(raw)
+    if value is None:
+        raise MalformedRule(text, f"{name} {raw!r} is not an integer")
+    if value * sign <= 0:
+        raise MalformedRule(text, f"{name} must be {'negative' if sign < 0 else 'positive'}")
+    return value
+
+
 def parse_rule(text):
     """Parse a 3-field rule string like "-2,ㅐ,2" into a Rule."""
     fields = text.split(",")
     if len(fields) != 3:
         raise MalformedRule(text, f"expected 3 comma-separated fields, got {len(fields)}")
     raw_stop, raw_postfix, raw_start = fields
-
-    if raw_stop == "None":
-        verb_stop = None
-    else:
-        verb_stop = _integer(raw_stop)
-        if verb_stop is None:
-            raise MalformedRule(text, f"verb stop {raw_stop!r} is not an integer")
-        if verb_stop >= 0:
-            raise MalformedRule(text, "verb stop must be negative")
-
+    verb_stop = _rule_index(text, raw_stop, "verb stop", -1)
     for ch in raw_postfix:
         if ch not in hangul_codec.LETTERS:
             raise MalformedRule(text, f"postfix character {ch!r} is not a jamo letter")
-
-    if raw_start == "None":
-        ending_start = None
-    else:
-        ending_start = _integer(raw_start)
-        if ending_start is None:
-            raise MalformedRule(text, f"ending start {raw_start!r} is not an integer")
-        if ending_start < 1:
-            raise MalformedRule(text, "ending start must be positive")
-
-    return Rule(verb_stop, tuple(raw_postfix), ending_start)
+    return Rule(verb_stop, tuple(raw_postfix), _rule_index(text, raw_start, "ending start", 1))
 
 
 def serialize_rule(rule):
     """Render a Rule back to its canonical 3-field string."""
-    stop = "None" if rule.verb_stop is None else str(rule.verb_stop)
-    start = "None" if rule.ending_start is None else str(rule.ending_start)
-    return "%s,%s,%s" % (stop, "".join(rule.postfix), start)
+    return "%s,%s,%s" % (rule.verb_stop, "".join(rule.postfix), rule.ending_start)
 
 
 def _check_class(class_id, classes, source=None):
@@ -126,8 +118,9 @@ def parse_template(text, source="<template>"):
     """Parse template TSV text: a header row of ending class ids, then
     one row per verb class with the class id in the first column."""
     rows = list(_rows(text, ENDING_CLASS_COUNT + 1, source))
-    if len(rows) != VERB_CLASS_COUNT + 1:
-        raise ParseError(source, 1, f"expected {VERB_CLASS_COUNT + 1} rows, got {len(rows)}")
+    if len(rows) != VERB_CLASS_COUNT + 1:  # name the first extra row, else the last row
+        line_no = rows[min(len(rows), VERB_CLASS_COUNT + 2) - 1][0] if rows else 1
+        raise ParseError(source, line_no, f"expected {VERB_CLASS_COUNT + 1} rows, got {len(rows)}")
     (line_no, header), *body = rows
     if header != _HEADER:
         raise ParseError(source, line_no, "header must be blank then ending class ids 1..24")

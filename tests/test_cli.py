@@ -440,6 +440,57 @@ def test_cli_fuzz_exits_cleanly(capsys, fmt, command, first, second, scope):
     assert code in (0, 1, 2)
 
 
+# Copies of the shipped data files, one of them with a line dropped,
+# duplicated or swapped, a byte flipped, or a character or a tab inserted.
+# Every subcommand must exit 0, 1 or 2 without a traceback; exit 2 says
+# `error:` on stderr, and exit 1 says `Not Found` unless it is an empty pair
+# or a validate that lists violations.
+SHIPPED_DATA = {path.name: path.read_bytes()
+                for path in (ENDINGS_PATH, VERBS_PATH, TEMPLATE_PATH, EXPECTATIONS_PATH)}
+
+
+@st.composite
+def mutated_data_file(draw):
+    name = draw(st.sampled_from(sorted(SHIPPED_DATA)))
+    data = SHIPPED_DATA[name]
+    lines = data.splitlines(keepends=True)
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "flip", "insert", "tab"]))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return name, data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    else:
+        text = data.decode("utf-8")
+        at = draw(st.integers(0, len(text)))
+        char = "\t" if kind == "tab" else draw(st.characters(codec="utf-8"))
+        return name, (text[:at] + char + text[at:]).encode("utf-8")
+    return name, b"".join(lines)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated=mutated_data_file())
+def test_mutated_data_files_fail_cleanly(tmp_path, capsys, mutated):
+    for name, data in {**SHIPPED_DATA, mutated[0]: mutated[1]}.items():
+        (tmp_path / name).write_bytes(data)
+    for argv in (["conjugate", "그렇"], ["pair", "그렇", "어야"],
+                 ["lemmatize", "그래야", "--scope", "그렇"], ["validate"], ["classes"]):
+        code, out, err = run_cli(["--data-dir", str(tmp_path), *argv], capsys)
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ")
+        elif err:
+            assert (code, err) == (1, "Not Found\n")
+        elif code == 1:  # a quiet exit 1: an empty pair, or a validate listing violations
+            assert argv[0] == "pair" or "violation(s)" in out
+
+
 # ---------------------------------------------------------------- subprocess
 
 def child_env(**extra):

@@ -307,8 +307,11 @@ def test_run_check(check, surface, result):
 
 
 def test_run_check_refuses_an_unknown_check():
-    with pytest.raises(ValueError, match="'no-such-check'"):
-        lx.run_check("no-such-check", "가")
+    # The last three read as ends-with- checks, but none is in CHECKS.
+    for check, surface in (("no-such-check", "가"), ("ends-with-ㅋ", "부엌"), ("ends-with-", "가"),
+                           ("ends-with-가", "가")):
+        with pytest.raises(ValueError, match=f"unknown check '{check}'"):
+            lx.run_check(check, surface)
 
 
 # ---------------------------------------------------------------- violations

@@ -145,6 +145,22 @@ def test_parse_template_shape_errors(mangle, reason_piece):
     assert reason_piece in exc.value.reason
 
 
+@pytest.mark.parametrize("mangle,line_no", [
+    (lambda lines: lines + ["47" + "\t" * 24], 48),  # the first extra row
+    (lambda lines: ["", ""] + lines + ["47" + "\t" * 24], 50),  # blank lines still count
+    (lambda lines: lines[:40], 40),  # the last row read
+    (lambda lines: lines[:40] + ["", ""], 40),
+    (lambda lines: [], 1),
+], ids=["extra row", "extra row after blank lines", "40 lines", "40 lines then blank lines",
+        "no row"])
+def test_a_wrong_row_count_names_where_the_count_went_wrong(mangle, line_no):
+    lines = TEMPLATE_PATH.read_text(encoding="utf-8").splitlines()
+    with pytest.raises(ParseError) as exc:
+        ruleset.parse_template("\n".join(mangle(lines)) + "\n")
+    assert exc.value.line == line_no
+    assert "47 rows" in exc.value.reason
+
+
 def test_parse_template_propagates_malformed_cells():
     lines = TEMPLATE_PATH.read_text(encoding="utf-8").splitlines()
     lines[8] = lines[8].replace("-2,ㅐ,2", "-2,ㅐ")
