@@ -1,19 +1,17 @@
 """Rule application, the conjugation plan, and paradigm generation.
 
-apply_rule is the whole combination algorithm: slice the verb's
-letters from the tail, append the rule's postfix, append the ending's
-letters sliced from the head, and pack the result back into syllables.
-Every call takes one path (_packed): the plan of the stem's classes
-over the call's endings (every ending, cached per class tuple on the
-lexicon, or a pair's own ending lines), whose distinct junctions (the
-stem's kept letters plus the unpacked head of a rule's ending side,
-_side, split once per lexicon) are packed once; a form is its
-junction's text plus the step's pre-packed rest. Every error is
-apply_rule's on one of the call's own steps, and names that step: the
-first one that slices past its letters, else the first one whose form
-cannot pack. SurfaceForm's and LemmaCandidate's __init__ fill __dict__,
-not object.__setattr__ per field, yet both compare, hash, repr and
-replace as frozen dataclasses, and LemmaCandidate orders as one too.
+apply_rule is the whole combination algorithm: slice the verb's letters from the tail,
+append the rule's postfix, append the ending's letters sliced from the head, and pack the
+result back into syllables. Every call takes one path (_packed): the plan of the stem's
+classes over the call's endings (every ending, cached per class tuple on the lexicon, or a
+pair's own ending lines), whose distinct junctions (the stem's kept letters plus the
+unpacked head of a rule's ending side, _side, split once per lexicon) are packed once; a
+form is its junction's text plus the step's pre-packed rest, built by one helper,
+_entries, for conjugate and conjugate_pair alike. An error replays the call's steps with
+apply_rule on the stem's letters (_pack) and names the first that slices past its
+letters, else the first that cannot pack. SurfaceForm's and LemmaCandidate's __init__
+fill __dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace
+as frozen dataclasses, and LemmaCandidate orders as one too.
 """
 
 from dataclasses import dataclass
@@ -71,22 +69,6 @@ def apply_rule(verb_letters, ending_letters, rule):
     return hangul_codec.compose(verb_letters[:stop] + rule.postfix + ending_letters[start:])
 
 
-def _apply_step(verb, entry, verb_class, rule):
-    """apply_rule on one step of a plan, its error re-raised naming the step: the stem
-    and verb class, the ending and ending class, and the rule."""
-    stem = f"stem {verb!r} (verb class {verb_class})"
-    ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
-    rule_text = f", rule {ruleset.serialize_rule(rule)}"
-    try:
-        return apply_rule(hangul_codec.decompose(verb), hangul_codec.decompose(entry.surface),
-                          rule)
-    except IndexOutOfBounds as err:
-        source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
-        raise IndexOutOfBounds(err.which, err.index, err.length, source + rule_text) from None
-    except Uncomposable as err:
-        raise Uncomposable(err.letters, err.position, f"{stem} + {ending}{rule_text}") from None
-
-
 def _plan(lexicon, class_ids, endings=None):
     """The conjugation plan of these verb classes over `endings`, in their order; by
     default every ending, by ending class, then file order, compiled on first use and
@@ -141,8 +123,8 @@ def _side(lexicon, rule, surface):
 
 def _pack(verb, letters, junctions, entries):
     """Each junction's text, compose(letters[:stop] + head), in order. If one stops past
-    the stem, has no head or gets stuck, apply_rule's error raises for the first step of
-    `entries` that slices past its letters, else for the first one that cannot pack."""
+    the stem, has no head or gets stuck, the steps of `entries` are replayed with apply_rule
+    on `letters`: the first that slices past its letters raises, else the first stuck one."""
     low = -len(letters)
     if all(head is not None and (stop or 0) >= low for stop, head in junctions):
         try:
@@ -151,12 +133,18 @@ def _pack(verb, letters, junctions, entries):
             pass
     stuck = None
     for entry, steps in entries:
+        ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
         for ((verb_class, rule),), *_ in steps:
+            stem = f"stem {verb!r} (verb class {verb_class})"
+            rule_text = f", rule {ruleset.serialize_rule(rule)}"
             try:
-                _apply_step(verb, entry, verb_class, rule)
+                apply_rule(letters, hangul_codec.decompose(entry.surface), rule)
+            except IndexOutOfBounds as err:
+                source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
+                raise IndexOutOfBounds(err.which, err.index, err.length, source + rule_text) from None
             except Uncomposable as err:
-                stuck = stuck or err
-    raise stuck  # a step fails wherever its junction does
+                stuck = stuck or Uncomposable(err.letters, err.position, f"{stem} + {ending}{rule_text}")
+    raise stuck from None  # a step fails wherever its junction does
 
 
 def _packed(lexicon, verb, endings=None):
@@ -175,28 +163,29 @@ def _forms(lexicon, verb):
             for entry, steps in plan for provenance, slot, rest in steps]
 
 
-def _merged(verb, entry, steps, texts):
-    """One plan entry's forms, each text that several classes make merged into one."""
-    sources = {}
-    for provenance, slot, rest in steps:
-        text = texts[slot] + rest
-        sources[text] = sources.get(text, ()) + provenance
-    return tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
-                 for text, provenance in sources.items())
-
-
-def conjugate(lexicon, verb):
-    """Generate the full paradigm of one stem."""
-    plan, texts = _packed(lexicon, verb)
+def _entries(lexicon, verb, endings=None):
+    """[(EndingEntry, (SurfaceForm, ...)), ...] for a stem's plan over `endings` (see _plan);
+    a text that several of the stem's classes make is one form."""
+    plan, texts = _packed(lexicon, verb, endings)
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge
             (provenance, slot, rest), = steps
-            entries.append((entry, (SurfaceForm(texts[slot] + rest, verb, entry.surface,
-                                                entry.class_id, provenance),)))
+            forms = SurfaceForm(texts[slot] + rest, verb, entry.surface, entry.class_id, provenance),
         else:
-            entries.append((entry, _merged(verb, entry, steps, texts)))
-    return Paradigm(verb=verb, entries=tuple(entries))
+            sources = {}
+            for provenance, slot, rest in steps:
+                text = texts[slot] + rest
+                sources[text] = sources.get(text, ()) + provenance
+            forms = tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
+                          for text, provenance in sources.items())
+        entries.append((entry, forms))
+    return entries
+
+
+def conjugate(lexicon, verb):
+    """Generate the full paradigm of one stem."""
+    return Paradigm(verb=verb, entries=tuple(_entries(lexicon, verb)))
 
 
 def conjugate_pair(lexicon, verb, ending):
@@ -204,7 +193,7 @@ def conjugate_pair(lexicon, verb, ending):
     The plan covers only the pair's own ending lines, so only their steps are packed
     and checked."""
     lines = [e for e in lexicon.endings if e.surface == ending]
-    plan, texts = _packed(lexicon, verb, lines)
+    entries = _entries(lexicon, verb, lines)
     if not lines:
         raise NotFound(ending)
-    return [form for entry, steps in plan for form in _merged(verb, entry, steps, texts)]
+    return [form for _, forms in entries for form in forms]

@@ -72,13 +72,16 @@ class Lexicon:
 
     def __init__(self, endings, verbs, template):
         self.endings = tuple(endings)
-        self.verbs = {v.surface: v for v in verbs}
+        self.verbs = {}
         self.template = template
         for e in self.endings:
             ruleset._check_class(e.class_id, ruleset.ENDING_CLASSES, f"ending {e.surface!r}")
-        for v in self.verbs.values():
+        for v in verbs:
+            if v.surface in self.verbs:
+                raise DuplicateVerb(v.surface)
             for class_id in v.class_ids:
                 ruleset._check_class(class_id, ruleset.VERB_CLASSES, f"stem {v.surface!r}")
+            self.verbs[v.surface] = v
         self._plans = {}  # class tuple -> plan, (postfix, start, ending) -> side: see conjugator
 
     def endings_of_class(self, ending_class):

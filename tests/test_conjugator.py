@@ -447,6 +447,20 @@ def test_conjugate_pair_matches_oracle_in_file_order(verb, classes, endings, end
     assert outcome(got) == outcome(expected)
 
 
+@pytest.mark.parametrize("endings", [SHIPPED.endings, SHUFFLED], ids=["shipped", "shuffled"])
+def test_a_pair_is_its_paradigm_lines_in_file_order(endings):
+    # Every shipped stem x surface: conjugate_pair gives the very SurfaceForms,
+    # provenance and merged classes included, of conjugate's entries for that
+    # surface's lines, put back into file order.
+    lex = Lexicon(endings, SHIPPED.verbs.values(), SHIPPED.template)
+    for verb in lex.verbs:
+        entries = cj.conjugate(lex, verb).entries
+        for surface in {e.surface for e in endings}:
+            lines = sorted((pair for pair in entries if pair[0].surface == surface),
+                           key=lambda pair: lex.endings.index(pair[0]))
+            assert cj.conjugate_pair(lex, verb, surface) == [f for _, forms in lines for f in forms]
+
+
 syllables = st.integers(SYLLABLE_BASE, SYLLABLE_LAST).map(chr)
 lone_jamo = st.sampled_from(sorted(LETTERS | set(CLUSTER_FINALS)))
 leading_characters = st.one_of(st.lists(syllables, max_size=3),

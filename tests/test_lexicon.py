@@ -78,6 +78,13 @@ def test_lexicon_rejects_a_verb_class_out_of_range(lexicon):
             (class_id, 1, 46, "stem '가'")
 
 
+def test_lexicon_rejects_a_duplicate_stem(lexicon):
+    # As load does, but with no file line to name.
+    with pytest.raises(DuplicateVerb) as exc:
+        lx.Lexicon([], [lx.VerbEntry("가", (1,)), lx.VerbEntry("가", (2,))], lexicon.template)
+    assert (exc.value.surface, str(exc.value)) == ("가", "duplicate verb entry '가'")
+
+
 @pytest.mark.parametrize("rewrite", [
     lambda data: data.replace(b"\n", b"\r\n"),
     lambda data: data.replace(b"\n", b"\r"),
