@@ -45,10 +45,10 @@ class MalformedRule(KoverbsError):
 
 
 class ParseError(KoverbsError):
-    """A data file line that cannot be read."""
+    """A data file line that cannot be read, or a hand-built lexicon entry (`line` None)."""
 
     def __init__(self, path, line, reason):
-        super().__init__(reason, f"{path}:{line}")
+        super().__init__(reason, path if line is None else f"{path}:{line}")
         self.path = str(path)
         self.line = line
         self.reason = reason

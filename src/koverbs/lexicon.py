@@ -68,20 +68,24 @@ class Violation:
 
 
 class Lexicon:
-    """Immutable bundle of endings, verbs, and the rule template."""
+    """Immutable bundle of endings, verbs, and the rule template. Each entry is checked
+    as `load` checks it, slice depth aside, and an error names the entry, not a line."""
 
     def __init__(self, endings, verbs, template):
-        self.endings = tuple(endings)
-        self.verbs = {}
+        self._fill(template, ((f"ending {e.surface!r}", None, e) for e in endings),
+                   ((f"stem {v.surface!r}", None, v) for v in verbs), {}, {})
+
+    def _fill(self, template, endings, verbs, verb_need, ending_need):
+        """Keep `template` and each (path, line, entry) of `endings` and `verbs`, checked once."""
         self.template = template
-        for e in self.endings:
-            ruleset._check_class(e.class_id, ruleset.ENDING_CLASSES, f"ending {e.surface!r}")
-        for v in verbs:
+        self.endings = tuple(_checked("ending", e, (e.class_id,), ruleset.ENDING_CLASSES, ending_need,
+                                      path, line) for path, line, e in endings)
+        self.verbs = {}
+        for path, line, v in verbs:
             if v.surface in self.verbs:
-                raise DuplicateVerb(v.surface)
-            for class_id in v.class_ids:
-                ruleset._check_class(class_id, ruleset.VERB_CLASSES, f"stem {v.surface!r}")
-            self.verbs[v.surface] = v
+                raise DuplicateVerb(v.surface, None if line is None else f"{path}:{line}")
+            self.verbs[v.surface] = _checked("stem", v, v.class_ids, ruleset.VERB_CLASSES, verb_need,
+                                             path, line)
         self._plans = {}  # class tuple -> plan, (postfix, start, ending) -> side: see conjugator
 
     def endings_of_class(self, ending_class):
@@ -95,53 +99,46 @@ def default_data_dir():
     return Path(__file__).parent / "data"
 
 
-def _class_id(raw, classes, path, line_no):
-    class_id = ruleset._integer(raw)
-    if class_id is None:
+def _class_id(raw, path, line_no):
+    if (class_id := ruleset._integer(raw)) is None:
         raise ParseError(path, line_no, f"class id {raw!r} is not an integer")
-    return ruleset._check_class(class_id, classes, f"{path}:{line_no}")
+    return class_id
 
 
-def _check_letters(kind, surface, class_ids, needs, path, line_no):
-    """Refuse an empty or non-Hangul surface, or one shorter than its classes' slices."""
-    if not surface:
-        raise ParseError(path, line_no, "empty surface")
+def _class_ids(raw, path, line_no):
+    class_ids = []
+    for piece in raw.split(",") if raw else ():
+        class_ids.append(_class_id(piece, path, line_no))
+    return tuple(class_ids)
+
+
+def _checked(kind, entry, class_ids, classes, needs, path, line):
+    """`entry`, a stem or an ending (`kind`), unless it has no class ids, one outside `classes` or
+    repeated, an empty or non-Hangul surface, or fewer letters than its classes slice (`needs`)."""
+    if not class_ids:
+        raise ParseError(path, line, "no class ids")
+    for i, class_id in enumerate(class_ids):
+        if class_id not in classes:  # so the source text is built for a failure only
+            ruleset._check_class(class_id, classes, path if line is None else f"{path}:{line}")
+        if class_ids.index(class_id) < i:
+            raise ParseError(path, line, f"class id {class_id} repeated")
+    if not entry.surface:
+        raise ParseError(path, line, "empty surface")
     try:
-        length = len(hangul_codec.decompose(surface))
+        length = len(hangul_codec.decompose(entry.surface))
     except NonHangulInput as err:
-        raise ParseError(path, line_no, f"surface {surface!r}: {err}") from None
+        raise ParseError(path, line, f"surface {entry.surface!r}: {err}") from None
     for class_id in class_ids:
-        need = needs.get(class_id, 0)
-        if length < need:
-            raise ParseError(path, line_no, f"{kind} {surface!r} has {length} letters but "
-                                            f"class {class_id} rules slice {need}")
+        if length < needs.get(class_id, 0):
+            raise ParseError(path, line, f"{kind} {entry.surface!r} has {length} letters but "
+                                         f"class {class_id} rules slice {needs[class_id]}")
+    return entry
 
 
-def _load_endings(path, needs):
-    entries = []
-    for line_no, (surface, raw_class) in ruleset._rows(ruleset._read(path), 2, path):
-        class_id = _class_id(raw_class, ruleset.ENDING_CLASSES, path, line_no)
-        _check_letters("ending", surface, (class_id,), needs, path, line_no)
-        entries.append(EndingEntry(surface, class_id))
-    return entries
-
-
-def _load_verbs(path, needs):
-    entries = {}
-    for line_no, (surface, raw_classes) in ruleset._rows(ruleset._read(path), 2, path):
-        if surface in entries:
-            raise DuplicateVerb(surface, f"{path}:{line_no}")
-        if not raw_classes:
-            raise ParseError(path, line_no, "no class ids")
-        class_ids = []
-        for piece in raw_classes.split(","):
-            class_id = _class_id(piece, ruleset.VERB_CLASSES, path, line_no)
-            if class_id in class_ids:
-                raise ParseError(path, line_no, f"class id {class_id} repeated")
-            class_ids.append(class_id)
-        _check_letters("stem", surface, class_ids, needs, path, line_no)
-        entries[surface] = VerbEntry(surface, tuple(class_ids))
-    return entries.values()
+def _entries(path, entry, parse):
+    """(path, line, entry) for each row of a data file, read when first asked."""
+    for line_no, (surface, raw) in ruleset._rows(ruleset._read(path), 2, path):
+        yield path, line_no, entry(surface, parse(raw, path, line_no))
 
 
 def _slice_needs(template):
@@ -156,15 +153,13 @@ def _slice_needs(template):
 def load(endings_path, verbs_path, template_path):
     """Load and cross-validate the three data files into a Lexicon.
 
-    Each ending and stem line is checked as it is read: its format, and
-    its letter count against the deepest slice its classes' rules can
-    take, so a rule can never reach past an entry's letters at
-    conjugation time.
-    """
+    Each ending and stem line is checked as it is read, as a hand-built Lexicon checks it and
+    against its classes' deepest slice, so no rule reaches past its letters when conjugating."""
     template = ruleset.load_template(template_path)
-    verb_need, ending_need = _slice_needs(template)
-    return Lexicon(_load_endings(endings_path, ending_need),
-                   _load_verbs(verbs_path, verb_need), template)
+    lexicon = object.__new__(Lexicon)
+    lexicon._fill(template, _entries(endings_path, EndingEntry, _class_id),
+                  _entries(verbs_path, VerbEntry, _class_ids), *_slice_needs(template))
+    return lexicon
 
 
 def load_expectations(path):
@@ -173,7 +168,7 @@ def load_expectations(path):
         if scope not in ("verb", "ending"):
             raise ParseError(path, line_no, f"scope must be verb or ending, got {scope!r}")
         classes = ruleset.VERB_CLASSES if scope == "verb" else ruleset.ENDING_CLASSES
-        class_id = _class_id(raw_class, classes, path, line_no)
+        class_id = ruleset._check_class(_class_id(raw_class, path, line_no), classes, f"{path}:{line_no}")
         if check not in CHECKS:
             raise ParseError(path, line_no, f"unknown check {check!r}")
         if raw_expected not in ("true", "false"):
@@ -187,6 +182,8 @@ def run_check(check, surface):
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     letters = hangul_codec.decompose(surface)
+    if not letters:
+        return False
     if check == "ends-with-consonant":
         return letters[-1] in hangul_codec.CONSONANTS
     if check == "last-vowel-is-light":

@@ -15,6 +15,7 @@ ERRORS = [
     MalformedRule("-1,ㅏ", "expected 3 comma-separated fields, got 2"),
     MalformedRule("-2,x,2", "postfix character 'x' is not a jamo letter", "template.tsv:9"),
     ParseError("endings.tsv", 4, "empty surface"),
+    ParseError("stem ''", None, "empty surface"),
     RangeError(99, 1, 46, "verbs.tsv:1"),
     DuplicateVerb("가", "verbs.tsv:2"),
     NotFound("가"),
@@ -38,7 +39,8 @@ COPIES = {**{f"pickle-{p}": pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 
 
 @pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES)
 @pytest.mark.parametrize("err", ERRORS, ids=lambda err: type(err).__name__ + (
-    "-sourced" if isinstance(err, MalformedRule) and err.source else ""))
+    "-sourced" if isinstance(err, MalformedRule) and err.source else
+    "-entry" if isinstance(err, ParseError) and err.line is None else ""))
 def test_an_error_survives_pickling(err, copy_of):
     # A worker process can hand its error back whole: type, message and fields.
     copied = copy_of(err)

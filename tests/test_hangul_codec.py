@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +93,33 @@ def test_letter_alphabet_size():
     assert len(hc.LETTERS) == 40
     assert len(hc.ONSETS) == 19
     assert len(hc.VOWELS) == 21
+
+
+def letters_by_name(char):
+    """The letters of one Hangul character from the Unicode character database alone:
+    NFD splits a syllable into conjoining jamo, and each jamo's name gives one compatibility
+    letter per hyphen-separated part (HANGUL JONGSEONG RIEUL-SIOS is ㄹ ㅅ)."""
+    letters = []
+    for jamo in unicodedata.normalize("NFD", char):
+        parts = unicodedata.name(jamo).split(" ", 2)[2]  # HANGUL CHOSEONG, JUNGSEONG, LETTER...
+        letters += [unicodedata.lookup(f"HANGUL LETTER {part}") for part in parts.split("-")]
+    return tuple(letters)
+
+
+def test_codec_matches_the_unicode_character_database():
+    # No letter table of the package is read here, so a wrong entry in one shows even
+    # where decompose and compose still invert each other (ㄽ split as ㄹ ㅆ, say).
+    syllables = [chr(code) for code in range(0xAC00, 0xD7A4)]
+    jamo = [chr(code) for code in range(0x3131, 0x3164)]
+    assert (len(syllables), len(jamo)) == (11172, 51)
+    for syllable in syllables:
+        letters = letters_by_name(syllable)
+        assert (hc.decompose(syllable), hc.compose(letters)) == (letters, syllable)
+    for char in jamo:
+        letters = letters_by_name(char)
+        assert hc.decompose(char) == letters
+        with pytest.raises(Uncomposable):  # a lone jamo is no syllable
+            hc.compose(letters)
 
 
 @given(syllables)

@@ -1,7 +1,7 @@
 import pytest
 
 from koverbs import lexicon as lx
-from koverbs.errors import DuplicateVerb, ParseError, RangeError
+from koverbs.errors import DuplicateVerb, KoverbsError, ParseError, RangeError
 
 from conftest import shipped_paths
 
@@ -83,6 +83,30 @@ def test_lexicon_rejects_a_duplicate_stem(lexicon):
     with pytest.raises(DuplicateVerb) as exc:
         lx.Lexicon([], [lx.VerbEntry("가", (1,)), lx.VerbEntry("가", (2,))], lexicon.template)
     assert (exc.value.surface, str(exc.value)) == ("가", "duplicate verb entry '가'")
+
+
+@pytest.mark.parametrize("name,line,entry", [
+    ("verbs", "\t29", lx.VerbEntry("", (29,))),
+    ("endings", "\t1", lx.EndingEntry("", 1)),
+    ("verbs", "run\t29", lx.VerbEntry("run", (29,))),
+    ("endings", "go\t1", lx.EndingEntry("go", 1)),
+    ("verbs", "가\t", lx.VerbEntry("가", ())),
+    ("verbs", "가\t29,29", lx.VerbEntry("가", (29, 29))),
+    ("verbs", "가\t99", lx.VerbEntry("가", (99,))),
+    ("endings", "고\t25", lx.EndingEntry("고", 25)),
+], ids=["empty stem", "empty ending", "non-Hangul stem", "non-Hangul ending", "no class ids",
+        "repeated class id", "verb class out of range", "ending class out of range"])
+def test_a_hand_built_lexicon_refuses_what_load_refuses(tmp_path, lexicon, name, line, entry):
+    # The same type and reason; the hand-built error names the entry, not a file line.
+    with pytest.raises(KoverbsError) as loaded:
+        lx.load(*write_data(tmp_path, **{name: line + "\n"}))
+    endings, verbs = ([entry], []) if name == "endings" else ([], [entry])
+    with pytest.raises(type(loaded.value)) as built:
+        lx.Lexicon(endings, verbs, lexicon.template)
+    where = f"{'ending' if name == 'endings' else 'stem'} {entry.surface!r}"
+    assert (type(built.value), built.value.source) == (type(loaded.value), where)
+    assert loaded.value.source == f"{tmp_path / name}.tsv:1"
+    assert str(built.value) == where + str(loaded.value).removeprefix(loaded.value.source)
 
 
 @pytest.mark.parametrize("rewrite", [
@@ -308,6 +332,7 @@ def test_load_expectations_errors(tmp_path, line, err):
     ("starts-with-vowel", "어야", True),
     ("starts-with-vowel", "고", False),
     ("starts-with-vowel", "ㅂ니다", False),
+    *[(check, "", False) for check in lx.CHECKS],
 ])
 def test_run_check(check, surface, result):
     assert lx.run_check(check, surface) is result
