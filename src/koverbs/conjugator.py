@@ -7,11 +7,12 @@ classes over the call's endings (every ending, cached per class tuple on the lex
 pair's own ending lines), whose distinct junctions (the stem's kept letters plus the
 unpacked head of a rule's ending side, _side, split once per lexicon) are packed once; a
 form is its junction's text plus the step's pre-packed rest, built by one helper,
-_entries, for conjugate and conjugate_pair alike. An error replays the call's steps with
-apply_rule on the stem's letters (_pack) and names the first that slices past its
-letters, else the first that cannot pack. SurfaceForm's and LemmaCandidate's __init__
-fill __dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace
-as frozen dataclasses, and LemmaCandidate orders as one too.
+_entries, for conjugate and conjugate_pair alike. No slice reaches past its letters, as a
+Lexicon checks every entry against its classes' deepest slice; a junction that cannot
+pack replays the call's steps with apply_rule on the stem's letters (_pack) and names
+the first that cannot. SurfaceForm's and LemmaCandidate's __init__ fill __dict__, not
+object.__setattr__ per field, yet both compare, hash, repr and replace as frozen
+dataclasses, and LemmaCandidate orders as one too.
 """
 
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ def _plan(lexicon, class_ids, endings=None):
     endings. A step (provenance, slot, rest), its provenance ((verb class, rule),) built
     once for all its forms, takes (head, rest) from the rule's side of its ending (_side).
     Its slot indexes junctions, each distinct (verb stop, head) once, in order of first
-    use; a head None fails only in a call that packs it."""
+    use."""
     if endings is None:
         plan = lexicon._plans.get(class_ids)
         if plan is None:
@@ -101,9 +102,9 @@ def _side(lexicon, rule, surface):
     """(head, rest) for a rule's side of an ending, cached on the lexicon: its tail (the
     postfix plus the ending's letters from the rule's start) cut at its first consonant+
     vowel pair, the letters from there packed as text; (tail, "") when there is no such
-    pair or they cannot pack, (None, "") when the start is past the letters. A consonant
-    right before a vowel always starts a syllable, so for any letters, compose(letters +
-    tail) is compose(letters + head) + rest, and gets stuck where compose(letters + head) does."""
+    pair or they cannot pack. A consonant right before a vowel always starts a syllable,
+    so for any letters, compose(letters + tail) is compose(letters + head) + rest, and gets
+    stuck where compose(letters + head) does."""
     key = rule.postfix, rule.ending_start, surface
     side = lexicon._plans.get(key)
     if side is None:
@@ -115,35 +116,27 @@ def _side(lexicon, rule, surface):
             side = tail[:cut], hangul_codec.compose(tail[cut:])
         except Uncomposable:
             side = tail, ""
-        if (rule.ending_start or 0) > len(letters):  # apply_rule raises, see _pack
-            side = None, ""
         lexicon._plans[key] = side
     return side
 
 
 def _pack(verb, letters, junctions, entries):
-    """Each junction's text, compose(letters[:stop] + head), in order. If one stops past
-    the stem, has no head or gets stuck, the steps of `entries` are replayed with apply_rule
-    on `letters`: the first that slices past its letters raises, else the first stuck one."""
-    low = -len(letters)
-    if all(head is not None and (stop or 0) >= low for stop, head in junctions):
-        try:
-            return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
-        except Uncomposable:
-            pass
+    """Each junction's text, compose(letters[:stop] + head), in order. If one gets stuck,
+    the steps of `entries` are replayed with apply_rule on `letters`, and the first stuck
+    one raises."""
+    try:
+        return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+    except Uncomposable:
+        pass
     stuck = None
     for entry, steps in entries:
-        ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
         for ((verb_class, rule),), *_ in steps:
-            stem = f"stem {verb!r} (verb class {verb_class})"
-            rule_text = f", rule {ruleset.serialize_rule(rule)}"
             try:
                 apply_rule(letters, hangul_codec.decompose(entry.surface), rule)
-            except IndexOutOfBounds as err:
-                source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
-                raise IndexOutOfBounds(err.which, err.index, err.length, source + rule_text) from None
             except Uncomposable as err:
-                stuck = stuck or Uncomposable(err.letters, err.position, f"{stem} + {ending}{rule_text}")
+                stuck = stuck or Uncomposable(err.letters, err.position, (
+                    f"stem {verb!r} (verb class {verb_class}) + ending {entry.surface!r} "
+                    f"(ending class {entry.class_id}), rule {ruleset.serialize_rule(rule)}"))
     raise stuck from None  # a step fails wherever its junction does
 
 
@@ -190,8 +183,7 @@ def conjugate(lexicon, verb):
 
 def conjugate_pair(lexicon, verb, ending):
     """Forms for one (stem, ending) pair, in file order; empty when all cells are blank.
-    The plan covers only the pair's own ending lines, so only their steps are packed
-    and checked."""
+    The plan covers only the pair's own ending lines, so only their steps are packed."""
     lines = [e for e in lexicon.endings if e.surface == ending]
     entries = _entries(lexicon, verb, lines)
     if not lines:

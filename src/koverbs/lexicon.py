@@ -69,15 +69,17 @@ class Violation:
 
 class Lexicon:
     """Immutable bundle of endings, verbs, and the rule template. Each entry is checked
-    as `load` checks it, slice depth aside, and an error names the entry, not a line."""
+    as `load` checks it, and an error names the entry, not a line."""
 
     def __init__(self, endings, verbs, template):
         self._fill(template, ((f"ending {e.surface!r}", None, e) for e in endings),
-                   ((f"stem {v.surface!r}", None, v) for v in verbs), {}, {})
+                   ((f"stem {v.surface!r}", None, v) for v in verbs))
 
-    def _fill(self, template, endings, verbs, verb_need, ending_need):
-        """Keep `template` and each (path, line, entry) of `endings` and `verbs`, checked once."""
+    def _fill(self, template, endings, verbs):
+        """Keep `template` and each (path, line, entry) of `endings` and `verbs`, checked once,
+        against its classes' deepest slice too, so no rule reaches past its letters."""
         self.template = template
+        verb_need, ending_need = _slice_needs(template)
         self.endings = tuple(_checked("ending", e, (e.class_id,), ruleset.ENDING_CLASSES, ending_need,
                                       path, line) for path, line, e in endings)
         self.verbs = {}
@@ -113,13 +115,19 @@ def _class_ids(raw, path, line_no):
 
 
 def _checked(kind, entry, class_ids, classes, needs, path, line):
-    """`entry`, a stem or an ending (`kind`), unless it has no class ids, one outside `classes` or
-    repeated, an empty or non-Hangul surface, or fewer letters than its classes slice (`needs`)."""
+    """`entry`, a stem or an ending (`kind`), unless a field is of the wrong type, it has no class
+    ids, one outside `classes` or repeated, an empty or non-Hangul surface, or fewer letters
+    than its classes slice (`needs`)."""
+    if not isinstance(entry.surface, str):
+        raise ParseError(path, line, f"surface {entry.surface!r} is not a string")
+    if not isinstance(class_ids, tuple):
+        raise ParseError(path, line, f"class ids {class_ids!r} are not a tuple")
     if not class_ids:
         raise ParseError(path, line, "no class ids")
     for i, class_id in enumerate(class_ids):
-        if class_id not in classes:  # so the source text is built for a failure only
+        if type(class_id) is not int or class_id not in classes:  # a source built on failure only
             ruleset._check_class(class_id, classes, path if line is None else f"{path}:{line}")
+            raise ParseError(path, line, f"class id {class_id!r} is not an integer")  # True, 1.0
         if class_ids.index(class_id) < i:
             raise ParseError(path, line, f"class id {class_id} repeated")
     if not entry.surface:
@@ -153,12 +161,11 @@ def _slice_needs(template):
 def load(endings_path, verbs_path, template_path):
     """Load and cross-validate the three data files into a Lexicon.
 
-    Each ending and stem line is checked as it is read, as a hand-built Lexicon checks it and
-    against its classes' deepest slice, so no rule reaches past its letters when conjugating."""
+    Each ending and stem line is checked as it is read, as a hand-built Lexicon checks it."""
     template = ruleset.load_template(template_path)
     lexicon = object.__new__(Lexicon)
     lexicon._fill(template, _entries(endings_path, EndingEntry, _class_id),
-                  _entries(verbs_path, VerbEntry, _class_ids), *_slice_needs(template))
+                  _entries(verbs_path, VerbEntry, _class_ids))
     return lexicon
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from koverbs import conjugator as cj
 from koverbs import hangul_codec, load_lexicon
-from koverbs.errors import IndexOutOfBounds, NotFound, Uncomposable
+from koverbs.errors import IndexOutOfBounds, NotFound, ParseError, Uncomposable
 from koverbs.hangul_codec import (CLUSTER_FINALS, LETTERS, SYLLABLE_BASE, SYLLABLE_LAST,
                                   compose, decompose)
 from koverbs.lemmatizer import build_index
@@ -205,62 +205,6 @@ def test_pair_unknown_parts(lexicon):
     with pytest.raises(NotFound) as exc:
         cj.conjugate_pair(lexicon, "가", "뷁")
     assert exc.value.query == "뷁"
-
-
-def test_stem_shorter_than_its_plan_slices():
-    # A hand-built lexicon skips load's slice-depth check: the stem has 2
-    # letters, and its class's one rule drops the last 3.
-    template = Template({(1, 1): Rule(-3, (), None)})
-    short = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))], template)
-    for call in (lambda: cj.conjugate(short, "가"), lambda: cj.conjugate_pair(short, "가", "고")):
-        with pytest.raises(IndexOutOfBounds) as exc:
-            call()
-        assert (exc.value.which, exc.value.index, exc.value.length) == ("verb", -3, 2)
-
-
-def test_a_slice_out_of_bounds_names_its_source():
-    # load rejects both lexicons. The stem 가 has 2 letters, and of its two
-    # classes' rules the deepest drops 3; the ending 고 has 2, and its class's
-    # rule starts at 3, which fails in every call that uses that step.
-    template = Template({(1, 1): Rule(-1, (), None), (2, 1): Rule(-3, (), None)})
-    short_stem = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1, 2))], template)
-    for call in (lambda: cj.conjugate(short_stem, "가"),
-                 lambda: cj.conjugate_pair(short_stem, "가", "고"), lambda: build_index(short_stem)):
-        with pytest.raises(IndexOutOfBounds) as exc:
-            call()
-        assert str(exc.value) == ("stem '가' (verb class 2), rule -3,,None: "
-                                  "verb slice index -3 out of bounds for 2 letters")
-    short_ending = Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))],
-                           Template({(1, 1): Rule(None, (), 3)}))
-    for call in (lambda: cj.conjugate(short_ending, "가"),
-                 lambda: cj.conjugate_pair(short_ending, "가", "고"),
-                 lambda: build_index(short_ending)):
-        with pytest.raises(IndexOutOfBounds) as exc:
-            call()
-        assert (exc.value.which, exc.value.index, exc.value.length) == ("ending", 3, 2)
-        assert exc.value.source == "verb class 1 + ending '고' (ending class 1), rule None,,3"
-        assert str(exc.value) == (f"{exc.value.source}: "
-                                  "ending slice index 3 out of bounds for 2 letters")
-
-
-def test_a_pair_checks_only_its_own_slices():
-    # Verb class 1 fills 고 with the identity rule and 다 with a rule that
-    # slices 3 letters, more than 가 or 다 has: it drops 3 from the stem, or
-    # starts the ending at its third letter. The pair with 고 slices neither.
-    for rule, message in [
-        (Rule(-3, (), None), "stem '가' (verb class 1), rule -3,,None: "
-                             "verb slice index -3 out of bounds for 2 letters"),
-        (Rule(None, (), 3), "verb class 1 + ending '다' (ending class 2), rule None,,3: "
-                            "ending slice index 3 out of bounds for 2 letters"),
-    ]:
-        template = Template({(1, 1): IDENTITY_RULE, (1, 2): rule})
-        lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 2)], [VerbEntry("가", (1,))],
-                      template)
-        assert [f.text for f in cj.conjugate_pair(lex, "가", "고")] == ["가고"]
-        for call in (lambda: cj.conjugate(lex, "가"), lambda: cj.conjugate_pair(lex, "가", "다")):
-            with pytest.raises(IndexOutOfBounds) as exc:
-                call()
-            assert str(exc.value) == message
 
 
 def test_stops_from_the_stem_head_set_no_syllables_aside():
@@ -493,25 +437,43 @@ def test_stems_sharing_a_tail_match_the_oracle(tail, heads, classes):
 
 def stuck(lexicon, verb, endings):
     """apply_rule's error and a source naming its step, for the first step, over
-    `endings` in order and then the stem's classes, that slices past its letters,
-    else for the first one whose form cannot pack; None when every form packs."""
-    unpackable = []
+    `endings` in order and then the stem's classes, whose form cannot pack; None
+    when every form packs."""
     for entry in endings:
         for verb_class in lexicon.verbs[verb].class_ids:
             rule = lexicon.template.lookup(verb_class, entry.class_id)
             if rule is None:
                 continue
-            stem = f"stem {verb!r} (verb class {verb_class})"
-            ending = f"ending {entry.surface!r} (ending class {entry.class_id})"
-            rule_text = f", rule {serialize_rule(rule)}"
             try:
                 cj.apply_rule(decompose(verb), decompose(entry.surface), rule)
-            except IndexOutOfBounds as err:
-                source = stem if err.which == "verb" else f"verb class {verb_class} + {ending}"
-                return err, source + rule_text
             except Uncomposable as err:
-                unpackable.append((err, f"{stem} + {ending}{rule_text}"))
-    return unpackable[0] if unpackable else None
+                return err, (f"stem {verb!r} (verb class {verb_class}) + ending {entry.surface!r} "
+                             f"(ending class {entry.class_id}), rule {serialize_rule(rule)}")
+    return None
+
+
+def refused(endings, stems, classes, cells):
+    """load's reason for the first of `endings`, then of `stems` (each in `classes`), that
+    has fewer letters than a rule of one of its classes in `cells` slices, with the entry
+    as its source; None when every entry is long enough."""
+    entries = [("ending", e.surface, (e.class_id,)) for e in endings]
+    entries += [("stem", stem, classes) for stem in stems]
+    for kind, surface, class_ids in entries:
+        length = len(decompose(surface))
+        for class_id in class_ids:
+            depths = [(rule.ending_start or 0) if kind == "ending" else -(rule.verb_stop or 0)
+                      for (verb_class, ending_class), rule in cells.items()
+                      if class_id == (ending_class if kind == "ending" else verb_class)]
+            if length < max(depths, default=0):
+                return (f"{kind} {surface!r}: {kind} {surface!r} has {length} letters but "
+                        f"class {class_id} rules slice {max(depths)}")
+    return None
+
+
+def assert_refused(build, reason):
+    with pytest.raises(ParseError) as exc:
+        build()
+    assert str(exc.value) == reason
 
 
 def assert_fails_as(call, failure):
@@ -520,6 +482,9 @@ def assert_fails_as(call, failure):
         call()
     assert vars(exc.value) == {**vars(err), "source": source}
     assert str(exc.value) == f"{source}: {err}"
+    # Raised from None, with no chained error to show or keep.
+    assert (exc.value.__cause__, exc.value.__context__, exc.value.__suppress_context__) == \
+        (None, None, True)
 
 
 def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction():
@@ -539,7 +504,8 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
 # first letter, ㄴ다 and ㄴ가 after ㄴ, ㅏ다 after ㅏ), and some that get stuck
 # (다ㅏ, whose letters from 다 cannot pack, or a postfix vowel after the stem's
 # vowel). Endings have 2 letters or more and stems 3 or more, and verb stops
-# of -4 and ending starts of 3 slice past the shortest of them.
+# of -4 and ending starts of 3 slice past the shortest of them: such a lexicon
+# is refused, as load refuses it.
 HAND_ENDINGS = ("고", "다", "ㄴ다", "ㄴ가", "아서", "어", "ㄹ까", "ㅂ니다", "ㅏ다", "다ㅏ")
 hand_rules = st.builds(Rule, st.one_of(st.none(), st.integers(-4, 1)),
                        st.lists(st.sampled_from("ㅏㅓㄴㄹㅇㅎ"), max_size=2).map(tuple),
@@ -559,9 +525,15 @@ def test_the_flat_plan_matches_the_oracle_on_hand_built_lexicons(tail, heads, cl
     # Stems share a tail behind 0-3 leading syllables or lone jamo, on a
     # template with verb stops -4..1 and ending starts 1..3; conjugate, every
     # pair and build_index give the oracle's forms, or apply_rule's error for
-    # the first step that slices past its letters, else the first stuck one.
+    # the first stuck step. A lexicon with an entry that a rule of its classes
+    # slices past is refused, and names the first such entry.
     stems = [head + tail for head in heads]
-    lex = Lexicon(endings, [VerbEntry(verb, classes) for verb in stems], Template(cells))
+    verbs = [VerbEntry(verb, classes) for verb in stems]
+    reason = refused(endings, stems, classes, cells)
+    if reason:
+        assert_refused(lambda: Lexicon(endings, verbs, Template(cells)), reason)
+        return
+    lex = Lexicon(endings, verbs, Template(cells))
     in_plan_order = sorted(endings, key=lambda e: e.class_id)
     for verb in stems:
         failure = stuck(lex, verb, in_plan_order)
@@ -611,6 +583,10 @@ def test_every_plan_shares_each_ending_side(monkeypatch):
 def test_a_plan_does_not_depend_on_the_plans_compiled_before_it(first, second, cells, endings):
     # Plans of one lexicon share its cached ending sides: compiling one class
     # tuple first leaves the next one's plan as a fresh lexicon compiles it.
+    reason = refused(endings, [], (), cells)
+    if reason:
+        assert_refused(lambda: Lexicon(endings, [], Template(cells)), reason)
+        return
     lex = Lexicon(endings, [], Template(cells))
     cj._plan(lex, first)
     assert cj._plan(lex, second) == cj._plan(Lexicon(endings, [], Template(cells)), second)

@@ -94,8 +94,11 @@ def test_lexicon_rejects_a_duplicate_stem(lexicon):
     ("verbs", "가\t29,29", lx.VerbEntry("가", (29, 29))),
     ("verbs", "가\t99", lx.VerbEntry("가", (99,))),
     ("endings", "고\t25", lx.EndingEntry("고", 25)),
+    ("verbs", "ㄱ\t8", lx.VerbEntry("ㄱ", (8,))),
+    ("endings", "ㄴ\t3", lx.EndingEntry("ㄴ", 3)),
 ], ids=["empty stem", "empty ending", "non-Hangul stem", "non-Hangul ending", "no class ids",
-        "repeated class id", "verb class out of range", "ending class out of range"])
+        "repeated class id", "verb class out of range", "ending class out of range",
+        "stem shorter than its rules slice", "ending shorter than its rules slice"])
 def test_a_hand_built_lexicon_refuses_what_load_refuses(tmp_path, lexicon, name, line, entry):
     # The same type and reason; the hand-built error names the entry, not a file line.
     with pytest.raises(KoverbsError) as loaded:
@@ -107,6 +110,20 @@ def test_a_hand_built_lexicon_refuses_what_load_refuses(tmp_path, lexicon, name,
     assert (type(built.value), built.value.source) == (type(loaded.value), where)
     assert loaded.value.source == f"{tmp_path / name}.tsv:1"
     assert str(built.value) == where + str(loaded.value).removeprefix(loaded.value.source)
+
+
+@pytest.mark.parametrize("endings,verbs,reason", [
+    ([], [lx.VerbEntry("가", [29])], "stem '가': class ids [29] are not a tuple"),
+    ([], [lx.VerbEntry(5, (29,))], "stem 5: surface 5 is not a string"),
+    ([], [lx.VerbEntry("가", (29, True))], "stem '가': class id True is not an integer"),
+    ([lx.EndingEntry("아", 1.0)], [], "ending '아': class id 1.0 is not an integer"),
+], ids=["class ids a list", "surface an int", "class id a bool", "class id a float"])
+def test_a_hand_built_lexicon_refuses_fields_of_the_wrong_type(lexicon, endings, verbs, reason):
+    # load reads only strings and ints; a hand-built entry of another type is refused
+    # as an entry, not later by a bare TypeError or as forms of class 1.0.
+    with pytest.raises(ParseError) as exc:
+        lx.Lexicon(endings, verbs, lexicon.template)
+    assert str(exc.value) == reason
 
 
 @pytest.mark.parametrize("rewrite", [
