@@ -207,6 +207,19 @@ def test_pair_unknown_parts(lexicon):
     assert exc.value.query == "뷁"
 
 
+def test_stem_shorter_than_its_plan_slices():
+    # The stem has 2 letters, and its class's one rule drops the last 3: a
+    # hand-built Lexicon refuses it as load does, so no plan ever slices past it.
+    template = Template({(1, 1): Rule(-3, (), None)})
+    with pytest.raises(ParseError) as exc:
+        Lexicon([EndingEntry("고", 1)], [VerbEntry("가", (1,))], template)
+    assert exc.value.source == "stem '가'"
+    assert str(exc.value) == "stem '가': stem '가' has 2 letters but class 1 rules slice 3"
+    # One letter more and the same lexicon builds and conjugates.
+    long_enough = Lexicon([EndingEntry("고", 1)], [VerbEntry("각", (1,))], template)
+    assert [f.text for f in cj.conjugate_pair(long_enough, "각", "고")] == ["고"]
+
+
 def test_stops_from_the_stem_head_set_no_syllables_aside():
     # parse_rule takes only negative stops, but a hand-built Template may
     # hold 0 or 1, which keep letters from the stem's head: each form is
