@@ -7,12 +7,12 @@ classes over the call's endings (every ending, cached per class tuple on the lex
 pair's own ending lines), whose distinct junctions (the stem's kept letters plus the
 unpacked head of a rule's ending side, _side, split once per lexicon) are packed once; a
 form is its junction's text plus the step's pre-packed rest, built by one helper,
-_entries, for conjugate and conjugate_pair alike. No slice reaches past its letters, as a
-Lexicon checks every entry against its classes' deepest slice; a junction that cannot
-pack replays the call's steps with apply_rule on the stem's letters (_pack) and names
-the first that cannot. SurfaceForm's and LemmaCandidate's __init__ fill __dict__, not
-object.__setattr__ per field, yet both compare, hash, repr and replace as frozen
-dataclasses, and LemmaCandidate orders as one too.
+_entries, for conjugate and conjugate_pair alike; build_index reads the plan as flat rows
+(_rows). No slice reaches past its letters, as a Lexicon checks every entry against its
+classes' deepest slice; a junction that cannot pack replays the call's steps with
+apply_rule on the stem's letters (_pack) and names the first that cannot. SurfaceForm's
+and LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per field, yet both
+compare, hash, repr and replace as frozen dataclasses, and LemmaCandidate orders as one.
 """
 
 from dataclasses import dataclass
@@ -149,11 +149,17 @@ def _packed(lexicon, verb, endings=None):
     return plan, _pack(verb, hangul_codec.decompose(verb), junctions, plan)
 
 
-def _forms(lexicon, verb):
-    """(text, EndingEntry, verb class) for each step of a stem's plan, in order."""
+def _rows(lexicon, verb):
+    """A stem's texts (_packed), and its plan's steps as (slot, rest, ending, verb class,
+    ending class) rows, compiled once per class tuple: a row's form is texts[slot] + rest."""
     plan, texts = _packed(lexicon, verb)
-    return [(texts[slot] + rest, entry, provenance[0][0])
-            for entry, steps in plan for provenance, slot, rest in steps]
+    key = "rows", lexicon.verbs[verb].class_ids
+    rows = lexicon._plans.get(key)
+    if rows is None:
+        lexicon._plans[key] = rows = tuple(
+            (slot, rest, entry.surface, provenance[0][0], entry.class_id)
+            for entry, steps in plan for provenance, slot, rest in steps)
+    return texts, rows
 
 
 def _entries(lexicon, verb, endings=None):

@@ -1,11 +1,13 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
-The index is built eagerly from the forms of every stem in scope, as
-the conjugator makes them from each stem's plan.
+The index is built eagerly in one pass over each stem's texts and its class tuple's rows
+(conjugator._rows), the cyclic collector paused: the index holds no cycles, and other
+threads' cyclic garbage waits for the next collection. A lone candidate is stored bare.
 Lookup is exact text matching; there is no fuzzy matching and no
 normalization.
 """
 
+import gc
 from dataclasses import dataclass
 
 from . import conjugator
@@ -28,7 +30,7 @@ class LemmaCandidate:
 
 
 class FormIndex:
-    """Immutable mapping from generated text to its sorted candidates."""
+    """Immutable mapping from generated text to its sorted candidates, read as a tuple."""
 
     __slots__ = ("_index", "scope")
 
@@ -37,10 +39,12 @@ class FormIndex:
         self.scope = tuple(scope)
 
     def candidates(self, form):
-        return self._index.get(form, ())
+        found = self._index.get(form, ())
+        return found if type(found) is tuple else (found,)
 
     def items(self):
-        return self._index.items()
+        for text, found in self._index.items():
+            yield text, found if type(found) is tuple else (found,)
 
     def __len__(self):
         return len(self._index)
@@ -56,14 +60,24 @@ def build_index(lexicon, verbs=None):
         if verb not in lexicon.verbs:
             raise NotFound(verb)
     index = {}
-    for verb in scope:
-        for text, entry, verb_class in conjugator._forms(lexicon, verb):
-            found = LemmaCandidate(verb, entry.surface, verb_class, entry.class_id)
-            known = index.get(text)  # nearly every text: its one candidate stored as found
-            index[text] = (found,) if known is None else tuple(sorted({*known, found}))
+    enabled = gc.isenabled()
+    gc.disable()  # the index holds no reference cycles: collecting while it grows finds nothing
+    try:
+        for verb in scope:
+            texts, rows = conjugator._rows(lexicon, verb)
+            for slot, rest, ending, verb_class, ending_class in rows:
+                found = LemmaCandidate(verb, ending, verb_class, ending_class)
+                known = index.setdefault(texts[slot] + rest, found)
+                if known is not found:  # a text made twice: its candidates merged, sorted
+                    index[texts[slot] + rest] = tuple(sorted(
+                        {*known, found} if type(known) is tuple else {known, found}))
+    finally:
+        if enabled:
+            gc.enable()
     return FormIndex(index, scope)
 
 
 def lemmatize(index, form):
     """All candidates whose regeneration yields `form`; [] when unknown."""
-    return list(index.candidates(form))
+    found = index._index.get(form, ())
+    return list(found) if type(found) is tuple else [found]

@@ -1,10 +1,11 @@
+import gc
 import random
 from dataclasses import astuple
 
 import pytest
 
 from koverbs import conjugate, lemmatizer as lm
-from koverbs.errors import NotFound
+from koverbs.errors import NotFound, Uncomposable
 from koverbs.hangul_codec import SYLLABLE_BASE, SYLLABLE_LAST
 from koverbs.lexicon import Lexicon, VerbEntry
 
@@ -54,10 +55,33 @@ def test_unknown_form_is_empty(index):
     assert lm.lemmatize(index, "xyz") == []
 
 
-def test_candidates_are_sorted_tuples(index):
-    for _, candidates in index.items():
-        assert isinstance(candidates, tuple)
-        assert list(candidates) == sorted(candidates)
+def test_candidates_are_sorted_tuples(lexicon, index):
+    # A text with one candidate is stored bare; every reader still sees a tuple.
+    for built in (index, lm.build_index(with_leading_syllables(lexicon))):
+        for text, candidates in built.items():
+            assert type(candidates) is tuple
+            assert list(candidates) == sorted(candidates)
+            assert type(built.candidates(text)) is tuple and built.candidates(text) == candidates
+            found = lm.lemmatize(built, text)
+            assert type(found) is list and found == list(candidates)
+        assert built.candidates("뷁뷁") == () and lm.lemmatize(built, "뷁뷁") == []
+
+
+def test_build_index_leaves_the_collector_as_it_found_it(lexicon):
+    # build_index pauses the cyclic collector while it fills the index.
+    assert gc.isenabled()
+    lm.build_index(lexicon)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        lm.build_index(lexicon)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    bad = Lexicon(lexicon.endings, [VerbEntry("가나", (4,))], lexicon.template)
+    with pytest.raises(Uncomposable):
+        lm.build_index(bad)
+    assert gc.isenabled()
 
 
 def test_lemma_candidate_acts_as_an_ordered_frozen_dataclass(index):
