@@ -7,9 +7,11 @@ classes over the call's endings (every ending, cached per class tuple on the lex
 pair's own ending lines), whose distinct junctions (the stem's kept letters plus the
 unpacked head of a rule's ending side, _side, split once per lexicon) are packed once; a
 form is its junction's text plus the step's pre-packed rest, built by one helper,
-_entries, for conjugate and conjugate_pair alike; build_index reads the plan as flat rows
-(_rows). No slice reaches past its letters, as a Lexicon checks every entry against its
-classes' deepest slice; a junction that cannot pack replays the call's steps with
+_entries, for conjugate and conjugate_pair alike, and the classes that give an ending one
+junction and rest share one step, whose provenance lists them all, so only distinct steps
+whose texts collide merge at run time; build_index reads the plan as flat rows (_rows).
+No slice reaches past its letters, as a Lexicon checks every entry against its classes'
+deepest slice; a junction that cannot pack replays the call's steps, class by class, with
 apply_rule on the stem's letters (_pack) and names the first that cannot. SurfaceForm's
 and LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per field, yet both
 compare, hash, repr and replace as frozen dataclasses, and LemmaCandidate orders as one.
@@ -74,10 +76,11 @@ def _plan(lexicon, class_ids, endings=None):
     """The conjugation plan of these verb classes over `endings`, in their order; by
     default every ending, by ending class, then file order, compiled on first use and
     cached on the lexicon: (junctions, ((EndingEntry, steps), ...)), without all-blank
-    endings. A step (provenance, slot, rest), its provenance ((verb class, rule),) built
-    once for all its forms, takes (head, rest) from the rule's side of its ending (_side).
-    Its slot indexes junctions, each distinct (verb stop, head) once, in order of first
-    use."""
+    endings. A step (provenance, slot, rest) takes (head, rest) from a rule's side of its
+    ending (_side); the stem's classes whose rules give one (slot, rest) make one step, in
+    order of first use, its provenance ((verb class, rule), ...) in class order, built once
+    for all its forms. Its slot indexes junctions, each distinct (verb stop, head) once, in
+    order of first use."""
     if endings is None:
         plan = lexicon._plans.get(class_ids)
         if plan is None:
@@ -86,15 +89,15 @@ def _plan(lexicon, class_ids, endings=None):
         return plan
     slots, entries = {}, []
     for entry in endings:
-        steps = []
+        steps = {}  # (slot, rest): provenance; classes that coincide make one step
         for c in class_ids:
             rule = lexicon.template.lookup(c, entry.class_id)
             if rule is not None:
                 head, rest = _side(lexicon, rule, entry.surface)
-                slot = slots.setdefault((rule.verb_stop, head), len(slots))
-                steps.append((((c, rule),), slot, rest))
+                key = slots.setdefault((rule.verb_stop, head), len(slots)), rest
+                steps[key] = steps.get(key, ()) + ((c, rule),)
         if steps:
-            entries.append((entry, tuple(steps)))
+            entries.append((entry, tuple((provenance, *key) for key, provenance in steps.items())))
     return tuple(slots), tuple(entries)
 
 
@@ -130,7 +133,7 @@ def _pack(verb, letters, junctions, entries):
         pass
     stuck = None
     for entry, steps in entries:
-        for ((verb_class, rule),), *_ in steps:
+        for verb_class, rule in (pair for provenance, *_ in steps for pair in provenance):
             try:
                 apply_rule(letters, hangul_codec.decompose(entry.surface), rule)
             except Uncomposable as err:
@@ -157,8 +160,9 @@ def _rows(lexicon, verb):
     rows = lexicon._plans.get(key)
     if rows is None:
         lexicon._plans[key] = rows = tuple(
-            (slot, rest, entry.surface, provenance[0][0], entry.class_id)
-            for entry, steps in plan for provenance, slot, rest in steps)
+            (slot, rest, entry.surface, verb_class, entry.class_id)
+            for entry, steps in plan for provenance, slot, rest in steps
+            for verb_class, _ in provenance)
     return texts, rows
 
 
@@ -172,10 +176,13 @@ def _entries(lexicon, verb, endings=None):
             (provenance, slot, rest), = steps
             forms = SurfaceForm(texts[slot] + rest, verb, entry.surface, entry.class_id, provenance),
         else:
-            sources = {}
+            sources, order = {}, lexicon.verbs[verb].class_ids
             for provenance, slot, rest in steps:
                 text = texts[slot] + rest
-                sources[text] = sources.get(text, ()) + provenance
+                if text in sources:  # distinct steps, one text: classes back in the stem's order
+                    provenance = tuple(sorted(sources[text] + provenance,
+                                              key=lambda pair: order.index(pair[0])))
+                sources[text] = provenance
             forms = tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
                           for text, provenance in sources.items())
         entries.append((entry, forms))

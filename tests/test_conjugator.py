@@ -583,8 +583,50 @@ def test_every_plan_shares_each_ending_side(monkeypatch):
     monkeypatch.setattr(hangul_codec, "decompose", lambda text: calls.append(text) or original(text))
     plans = [cj._plan(lex, v.class_ids) for v in lex.verbs.values()]
     sides = {(rule.postfix, rule.ending_start, entry.surface) for _, entries in plans
-             for entry, steps in entries for (((_, rule),), _, _) in steps}
+             for entry, steps in entries for provenance, _, _ in steps for _, rule in provenance}
     assert len(calls) == len(sides)
+
+
+def test_the_shipped_plans_merge_coinciding_steps():
+    # Classes of one stem whose rules share a junction and a packed rest make
+    # the same text for any stem: the plan holds them as one step.
+    plans = {v.class_ids: cj._plan(SHIPPED, v.class_ids)[1] for v in SHIPPED.verbs.values()}
+    entries = [steps for plan in plans.values() for _, steps in plan]
+    assert len(plans) == 46
+    assert sum(map(len, entries)) == 1069
+    assert sum(len(steps) > 1 for steps in entries) == 13
+    assert all(len({(slot, rest) for _, slot, rest in steps}) == len(steps) for steps in entries)
+    # A merged step lists its classes in the stem's order.
+    assert all([c for c, _ in provenance] == [c for c in classes if c in dict(provenance)]
+               for classes, plan in plans.items() for _, steps in plan for provenance, _, _ in steps)
+
+
+def test_distinct_steps_that_collide_keep_their_classes_in_order():
+    # Classes 1 and 3 keep 갈 whole and share one step; class 2 drops its ㄹ
+    # and puts it back, another step with the same text, 갈고.
+    template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㄹ",), None),
+                         (3, 1): IDENTITY_RULE})
+    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry("갈", (1, 2, 3))], template)
+    (_, (form,)), = cj.conjugate(lex, "갈").entries
+    assert [form] == cj.conjugate_pair(lex, "갈", "고")
+    assert (form.text, [c for c, _ in form.provenance]) == ("갈고", [1, 2, 3])
+    assert [c.verb_class for c in build_index(lex).candidates("갈고")] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("classes", [(1, 2), (2, 1)])
+def test_a_shared_stuck_junction_names_the_first_class(classes):
+    # Both classes keep 가나 whole before the ending's ㅏㅇㅑ, one step whose
+    # junction cannot pack; the error names the stem's first class.
+    template = Template({(1, 1): Rule(None, (), 1), (2, 1): Rule(None, (), 1)})
+    lex = Lexicon([EndingEntry("아야", 1)], [VerbEntry("가나", classes)], template)
+    source = f"stem '가나' (verb class {classes[0]}) + ending '아야' (ending class 1), rule None,,1"
+    for call in (lambda: cj.conjugate(lex, "가나"), lambda: cj.conjugate_pair(lex, "가나", "아야"),
+                 lambda: build_index(lex)):
+        with pytest.raises(Uncomposable) as exc:
+            call()
+        assert vars(exc.value) == {"source": source, "position": 4,
+                                   "letters": ("ㄱ", "ㅏ", "ㄴ", "ㅏ", "ㅏ", "ㅇ", "ㅑ")}
+        assert str(exc.value) == f"{source}: cannot compose 'ㄱㅏㄴㅏㅏㅇㅑ': stuck at letter 4"
 
 
 @settings(max_examples=200, deadline=None)
