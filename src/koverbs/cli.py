@@ -234,7 +234,10 @@ def main(argv=None):
                            _data_file(args, args.verbs, lexicon.VERBS_FILE),
                            _data_file(args, args.template, lexicon.TEMPLATE_FILE))
         payload, code = args.func(args, lex)
-        print(render(args.format, args.command, payload))
+        print(render(args.format, args.command, payload), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return code
     except NotFound:
         print("Not Found", file=sys.stderr)
         return EXIT_EMPTY

@@ -3,18 +3,15 @@
 apply_rule is the whole combination algorithm: slice the verb's letters from the tail,
 append the rule's postfix, append the ending's letters sliced from the head, and pack the
 result back into syllables. Every call takes one path (_packed): the plan of the stem's
-classes over the call's endings (every ending, cached per class tuple on the lexicon, or a
-pair's own ending lines), whose distinct junctions (the stem's kept letters plus the
-unpacked head of a rule's ending side, _side, split once per lexicon) are packed once; a
-form is its junction's text plus the step's pre-packed rest, built by one helper,
-_entries, for conjugate and conjugate_pair alike, and the classes that give an ending one
-junction and rest share one step, whose provenance lists them all, so only distinct steps
-whose texts collide merge at run time; build_index reads the plan as flat rows (_rows).
-No slice reaches past its letters, as a Lexicon checks every entry against its classes'
-deepest slice; a junction that cannot pack replays the call's steps, class by class, with
-apply_rule on the stem's letters (_pack) and names the first that cannot. SurfaceForm's
-and LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per field, yet both
-compare, hash, repr and replace as frozen dataclasses, and LemmaCandidate orders as one.
+classes over the call's endings (_plan; every ending, cached per class tuple on the
+lexicon, or a pair's own ending lines) packs its distinct junctions once, and a form is its
+junction's text plus the step's pre-packed rest (_side). _entries builds the forms of
+conjugate and conjugate_pair alike; build_index reads the plan's rows, its steps flattened
+in the same compile. A junction that cannot pack replays the rows with apply_rule until the
+first stuck one raises (_pack); no slice reaches past its letters, as a Lexicon checks every
+entry against its classes' deepest slice. SurfaceForm's and LemmaCandidate's __init__ fill
+__dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace as
+frozen dataclasses, and LemmaCandidate orders as one.
 """
 
 from dataclasses import dataclass
@@ -75,19 +72,20 @@ def apply_rule(verb_letters, ending_letters, rule):
 def _plan(lexicon, class_ids, endings=None):
     """The conjugation plan of these verb classes over `endings`, in their order; by
     default every ending, by ending class, then file order, compiled on first use and
-    cached on the lexicon: (junctions, ((EndingEntry, steps), ...)), without all-blank
+    cached on the lexicon: (junctions, ((EndingEntry, steps), ...), rows), without all-blank
     endings. A step (provenance, slot, rest) takes (head, rest) from a rule's side of its
     ending (_side); the stem's classes whose rules give one (slot, rest) make one step, in
     order of first use, its provenance ((verb class, rule), ...) in class order, built once
     for all its forms. Its slot indexes junctions, each distinct (verb stop, head) once, in
-    order of first use."""
+    order of first use. The rows flatten the steps in plan order, one (slot, rest, ending,
+    verb class, ending class, rule) per provenance pair; a row's form is texts[slot] + rest."""
     if endings is None:
         plan = lexicon._plans.get(class_ids)
         if plan is None:
             every = sorted(lexicon.endings, key=lambda e: e.class_id)
             lexicon._plans[class_ids] = plan = _plan(lexicon, class_ids, every)
         return plan
-    slots, entries = {}, []
+    slots, entries, rows = {}, [], []
     for entry in endings:
         steps = {}  # (slot, rest): provenance; classes that coincide make one step
         for c in class_ids:
@@ -98,7 +96,9 @@ def _plan(lexicon, class_ids, endings=None):
                 steps[key] = steps.get(key, ()) + ((c, rule),)
         if steps:
             entries.append((entry, tuple((provenance, *key) for key, provenance in steps.items())))
-    return tuple(slots), tuple(entries)
+            rows += ((*key, entry.surface, c, entry.class_id, rule)
+                     for key, provenance in steps.items() for c, rule in provenance)
+    return tuple(slots), tuple(entries), tuple(rows)
 
 
 def _side(lexicon, rule, surface):
@@ -123,53 +123,37 @@ def _side(lexicon, rule, surface):
     return side
 
 
-def _pack(verb, letters, junctions, entries):
+def _pack(verb, letters, junctions, rows):
     """Each junction's text, compose(letters[:stop] + head), in order. If one gets stuck,
-    the steps of `entries` are replayed with apply_rule on `letters`, and the first stuck
-    one raises."""
+    the rows are replayed in order with apply_rule on `letters`, and the first stuck raises."""
     try:
         return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
     except Uncomposable:
         pass
-    stuck = None
-    for entry, steps in entries:
-        for verb_class, rule in (pair for provenance, *_ in steps for pair in provenance):
-            try:
-                apply_rule(letters, hangul_codec.decompose(entry.surface), rule)
-            except Uncomposable as err:
-                stuck = stuck or Uncomposable(err.letters, err.position, (
-                    f"stem {verb!r} (verb class {verb_class}) + ending {entry.surface!r} "
-                    f"(ending class {entry.class_id}), rule {ruleset.serialize_rule(rule)}"))
-    raise stuck from None  # a step fails wherever its junction does
+    for _, _, ending, verb_class, ending_class, rule in rows:
+        try:
+            apply_rule(letters, hangul_codec.decompose(ending), rule)
+        except Uncomposable as err:
+            stuck = Uncomposable(err.letters, err.position, (
+                f"stem {verb!r} (verb class {verb_class}) + ending {ending!r} "
+                f"(ending class {ending_class}), rule {ruleset.serialize_rule(rule)}"))
+            break
+    raise stuck from None  # a row fails wherever its junction does
 
 
 def _packed(lexicon, verb, endings=None):
-    """A stem's plan over `endings` (see _plan), and its junctions' texts, packed."""
+    """A stem's plan over `endings` (see _plan): its entries, its rows and its packed texts."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
-    junctions, plan = _plan(lexicon, verb_entry.class_ids, endings)
-    return plan, _pack(verb, hangul_codec.decompose(verb), junctions, plan)
-
-
-def _rows(lexicon, verb):
-    """A stem's texts (_packed), and its plan's steps as (slot, rest, ending, verb class,
-    ending class) rows, compiled once per class tuple: a row's form is texts[slot] + rest."""
-    plan, texts = _packed(lexicon, verb)
-    key = "rows", lexicon.verbs[verb].class_ids
-    rows = lexicon._plans.get(key)
-    if rows is None:
-        lexicon._plans[key] = rows = tuple(
-            (slot, rest, entry.surface, verb_class, entry.class_id)
-            for entry, steps in plan for provenance, slot, rest in steps
-            for verb_class, _ in provenance)
-    return texts, rows
+    junctions, entries, rows = _plan(lexicon, verb_entry.class_ids, endings)
+    return entries, rows, _pack(verb, hangul_codec.decompose(verb), junctions, rows)
 
 
 def _entries(lexicon, verb, endings=None):
     """[(EndingEntry, (SurfaceForm, ...)), ...] for a stem's plan over `endings` (see _plan);
     a text that several of the stem's classes make is one form."""
-    plan, texts = _packed(lexicon, verb, endings)
+    plan, _, texts = _packed(lexicon, verb, endings)
     entries = []
     for entry, steps in plan:
         if len(steps) == 1:  # nearly every entry: one form, nothing to merge

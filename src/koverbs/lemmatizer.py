@@ -1,9 +1,9 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
-The index is built eagerly in one pass over each stem's texts and its class tuple's rows
-(conjugator._rows), the cyclic collector paused: the index holds no cycles, and other
-threads' cyclic garbage waits for the next collection. A lone candidate is stored bare.
-Lookup is exact text matching; there is no fuzzy matching and no
+The index is built eagerly in one pass over each stem's texts and the rows its class
+tuple's plan compiles with it (conjugator._packed), the cyclic collector paused: the index
+holds no cycles, and other threads' cyclic garbage waits for the next collection. A lone
+candidate is stored bare. Lookup is exact text matching, with no fuzzy matching or
 normalization.
 """
 
@@ -64,8 +64,8 @@ def build_index(lexicon, verbs=None):
     gc.disable()  # the index holds no reference cycles: collecting while it grows finds nothing
     try:
         for verb in scope:
-            texts, rows = conjugator._rows(lexicon, verb)
-            for slot, rest, ending, verb_class, ending_class in rows:
+            _, rows, texts = conjugator._packed(lexicon, verb)
+            for slot, rest, ending, verb_class, ending_class, _ in rows:
                 found = LemmaCandidate(verb, ending, verb_class, ending_class)
                 known = index.setdefault(texts[slot] + rest, found)
                 if known is not found:  # a text made twice: its candidates merged, sorted

@@ -79,6 +79,18 @@ def _check_class(class_id, classes, source=None):
     return class_id
 
 
+def _check_rule(rule, cell):
+    """`cell`'s value: a Rule of None or int (not bool) indices, any sign, and jamo postfix."""
+    if not isinstance(rule, Rule):
+        raise MalformedRule(rule, "not a Rule", f"cell {cell}")
+    for name, index in ("verb stop", rule.verb_stop), ("ending start", rule.ending_start):
+        if index is not None and type(index) is not int:
+            raise MalformedRule(rule, f"{name} {index!r} is not an integer", f"cell {cell}")
+    if type(rule.postfix) is not tuple or not all(
+            isinstance(ch, str) and ch in hangul_codec.LETTERS for ch in rule.postfix):
+        raise MalformedRule(rule, "postfix is not a tuple of jamo letters", f"cell {cell}")
+
+
 class Template:
     """Immutable partial grid (verb class, ending class) -> Rule."""
 
@@ -86,9 +98,10 @@ class Template:
 
     def __init__(self, cells):
         self._cells = dict(cells)
-        for verb_class, ending_class in self._cells:
+        for (verb_class, ending_class), rule in self._cells.items():
             _check_class(verb_class, VERB_CLASSES)
             _check_class(ending_class, ENDING_CLASSES)
+            _check_rule(rule, (verb_class, ending_class))
 
     def lookup(self, verb_class, ending_class):
         """Return the Rule for a cell, or None when the cell is blank."""

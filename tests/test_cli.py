@@ -509,6 +509,18 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[1] == "3\t어야\t그래야\t8\t-2,ㅐ,2"
 
 
+@pytest.mark.parametrize("argv", [["--format", "json", "classes"], ["conjugate", "그렇"]])
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(argv):
+    # The read end closes before the child starts, so its first write fails
+    # with a broken pipe: no data error, no message, the command's own code.
+    proc = subprocess.Popen([sys.executable, "-m", "koverbs.cli", *argv], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    with proc:
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_argument_not_utf8_under_a_strict_stdout():
     # "\udcff" reaches the child as the byte 0xff, which Python decodes
     # to a lone surrogate; PYTHONIOENCODING=utf-8 makes stdout strict.

@@ -258,7 +258,7 @@ def test_the_plan_packs_each_ending_side_once():
              "다ㅏ": (("ㄷ", "ㅏ", "ㅏ"), ""), "ㅏ다ㅏ고": (("ㅏ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")}
     template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㅓ",), 1)})
     lex = Lexicon([EndingEntry(e, 1) for e in tails], [], template)
-    junctions, plan = cj._plan(lex, (1, 2))
+    junctions, plan, _ = cj._plan(lex, (1, 2))
 
     def head_and_rest(step):
         _, slot, rest = step
@@ -506,7 +506,7 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
     # jamo ㄱ cannot pack: the pair with 다 fails on ㄱ + 다, not on ㄱ + 고.
     lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
-    junctions, plan = cj._plan(lex, (1,))
+    junctions, plan, _ = cj._plan(lex, (1,))
     assert len(junctions) == 1 and [steps[0][1] for _, steps in plan] == [0, 0]
     for ending in ("고", "다"):
         assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),
@@ -582,7 +582,7 @@ def test_every_plan_shares_each_ending_side(monkeypatch):
     calls, original = [], hangul_codec.decompose
     monkeypatch.setattr(hangul_codec, "decompose", lambda text: calls.append(text) or original(text))
     plans = [cj._plan(lex, v.class_ids) for v in lex.verbs.values()]
-    sides = {(rule.postfix, rule.ending_start, entry.surface) for _, entries in plans
+    sides = {(rule.postfix, rule.ending_start, entry.surface) for _, entries, _ in plans
              for entry, steps in entries for provenance, _, _ in steps for _, rule in provenance}
     assert len(calls) == len(sides)
 
@@ -599,6 +599,26 @@ def test_the_shipped_plans_merge_coinciding_steps():
     # A merged step lists its classes in the stem's order.
     assert all([c for c, _ in provenance] == [c for c in classes if c in dict(provenance)]
                for classes, plan in plans.items() for _, steps in plan for provenance, _, _ in steps)
+
+
+def rows_of(plan):
+    """A plan's entries flattened: one (slot, rest, ending, verb class, ending class,
+    rule) row per (verb class, rule) of each step's provenance, in plan order."""
+    _, entries, _ = plan
+    return tuple((slot, rest, entry.surface, verb_class, entry.class_id, rule)
+                 for entry, steps in entries for provenance, slot, rest in steps
+                 for verb_class, rule in provenance)
+
+
+def test_a_plans_rows_are_its_entries_flattened():
+    # build_index reads each class tuple's rows from its one cached plan; the
+    # lexicon caches nothing else but ending sides.
+    lex = load_lexicon(*shipped_paths())
+    build_index(lex)
+    plans = {key: plan for key, plan in lex._plans.items() if all(type(c) is int for c in key)}
+    assert len(plans) == 46
+    assert all(type(key[0]) is tuple for key in lex._plans.keys() - plans.keys())
+    assert all(plan[2] == rows_of(plan) for plan in plans.values())
 
 
 def test_distinct_steps_that_collide_keep_their_classes_in_order():
@@ -643,5 +663,7 @@ def test_a_plan_does_not_depend_on_the_plans_compiled_before_it(first, second, c
         assert_refused(lambda: Lexicon(endings, [], Template(cells)), reason)
         return
     lex = Lexicon(endings, [], Template(cells))
-    cj._plan(lex, first)
-    assert cj._plan(lex, second) == cj._plan(Lexicon(endings, [], Template(cells)), second)
+    before = cj._plan(lex, first)
+    plan = cj._plan(lex, second)
+    assert plan == cj._plan(Lexicon(endings, [], Template(cells)), second)
+    assert (before[2], plan[2]) == (rows_of(before), rows_of(plan))

@@ -99,6 +99,29 @@ def test_lookup_range_checks(template):
         ruleset.Template({("1", 1): ruleset.IDENTITY_RULE})
 
 
+@pytest.mark.parametrize("value, reason", [
+    (ruleset.Rule(None, "ㅏ", None), "postfix is not a tuple of jamo letters"),
+    (ruleset.Rule(None, ["ㅏ"], None), "postfix is not a tuple of jamo letters"),
+    (ruleset.Rule(None, ("a",), None), "postfix is not a tuple of jamo letters"),
+    (ruleset.Rule(None, ([],), None), "postfix is not a tuple of jamo letters"),
+    ("None,,None", "not a Rule"),
+    (ruleset.Rule("1", (), None), "verb stop '1' is not an integer"),
+    (ruleset.Rule(True, (), None), "verb stop True is not an integer"),
+    (ruleset.Rule(None, (), 1.0), "ending start 1.0 is not an integer"),
+], ids=["str-postfix", "list-postfix", "latin-letter", "unhashable-letter", "rule-string",
+        "str-stop", "bool-stop", "float-start"])
+def test_a_hand_built_template_refuses_a_malformed_cell(value, reason):
+    with pytest.raises(MalformedRule) as exc:
+        ruleset.Template({(1, 1): ruleset.IDENTITY_RULE, (2, 3): value})
+    assert (exc.value.text, exc.value.reason, exc.value.source) == (value, reason, "cell (2, 3)")
+
+
+def test_a_hand_built_template_keeps_either_sign():
+    # Only template.tsv is held to negative stops and positive starts.
+    cells = {(1, 1): ruleset.Rule(0, ("ㅏ",), None), (1, 2): ruleset.Rule(2, (), -1)}
+    assert dict(ruleset.Template(cells).cells()) == cells
+
+
 def test_first_column_is_always_identity(template):
     for verb_class in range(1, 47):
         assert template.lookup(verb_class, 1) == ruleset.IDENTITY_RULE
