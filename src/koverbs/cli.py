@@ -239,15 +239,19 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
         return code
     except NotFound:
-        print("Not Found", file=sys.stderr)
-        return EXIT_EMPTY
+        payload, code = None, EXIT_EMPTY
     except (KoverbsError, OSError, UnicodeEncodeError) as err:
         # UnicodeEncodeError: a non-UTF-8 argument echoed to a strict stdout.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    if code == EXIT_EMPTY and args.command == "lemmatize":
+    if payload is None or code == EXIT_EMPTY and args.command == "lemmatize":
         # A form no stem produces is a failed lookup, like an unknown stem.
         print("Not Found", file=sys.stderr)
+        given = [vars(args).get(name) or "" for name in ("stem", "ending", "form")]
+        if any("\u1100" <= ch <= "\u11ff" for text in given + (vars(args).get("scope") or [])
+               for ch in text):  # decomposed (NFD) text, as a macOS paste gives
+            print("note: the input holds conjoining jamo (U+1100-U+11FF), and koverbs matches "
+                  "only precomposed (NFC) Hangul", file=sys.stderr)
     return code
 
 

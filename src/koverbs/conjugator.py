@@ -7,8 +7,8 @@ classes over the call's endings (_plan; every ending, cached per class tuple on 
 lexicon, or a pair's own ending lines) packs its distinct junctions once, and a form is its
 junction's text plus the step's pre-packed rest (_side). _entries builds the forms of
 conjugate and conjugate_pair alike; build_index reads the plan's rows, its steps flattened
-in the same compile. A junction that cannot pack replays the rows with apply_rule until the
-first stuck one raises (_pack); no slice reaches past its letters, as a Lexicon checks every
+in the same compile. A junction that cannot pack raises apply_rule's error on the first row
+that uses it, by _side's cut; no slice reaches past its letters, as a Lexicon checks every
 entry against its classes' deepest slice. SurfaceForm's and LemmaCandidate's __init__ fill
 __dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace as
 frozen dataclasses, and LemmaCandidate orders as one.
@@ -107,9 +107,9 @@ def _side(lexicon, rule, surface):
     vowel pair, the letters from there packed as text; (tail, "") when there is no such
     pair or they cannot pack. A consonant right before a vowel always starts a syllable,
     so for any letters, compose(letters + tail) is compose(letters + head) + rest, and gets
-    stuck where compose(letters + head) does."""
+    stuck where compose(letters + head) does, on letters + head + decompose(rest)."""
     key = rule.postfix, rule.ending_start, surface
-    side = lexicon._plans.get(key)
+    side = lexicon._sides.get(key)
     if side is None:
         letters = hangul_codec.decompose(surface)
         tail = rule.postfix + letters[rule.ending_start:]
@@ -119,35 +119,29 @@ def _side(lexicon, rule, surface):
             side = tail[:cut], hangul_codec.compose(tail[cut:])
         except Uncomposable:
             side = tail, ""
-        lexicon._plans[key] = side
+        lexicon._sides[key] = side
     return side
 
 
-def _pack(verb, letters, junctions, rows):
-    """Each junction's text, compose(letters[:stop] + head), in order. If one gets stuck,
-    the rows are replayed in order with apply_rule on `letters`, and the first stuck raises."""
-    try:
-        return [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
-    except Uncomposable:
-        pass
-    for _, _, ending, verb_class, ending_class, rule in rows:
-        try:
-            apply_rule(letters, hangul_codec.decompose(ending), rule)
-        except Uncomposable as err:
-            stuck = Uncomposable(err.letters, err.position, (
-                f"stem {verb!r} (verb class {verb_class}) + ending {ending!r} "
-                f"(ending class {ending_class}), rule {ruleset.serialize_rule(rule)}"))
-            break
-    raise stuck from None  # a row fails wherever its junction does
-
-
 def _packed(lexicon, verb, endings=None):
-    """A stem's plan over `endings` (see _plan): its entries, its rows and its packed texts."""
+    """A stem's plan over `endings` (see _plan): its entries, its rows and its junctions'
+    texts. A stuck junction raises apply_rule's error on the first row that uses it (_side),
+    the first stuck row too, as rows take up slots in order."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
     junctions, entries, rows = _plan(lexicon, verb_entry.class_ids, endings)
-    return entries, rows, _pack(verb, hangul_codec.decompose(verb), junctions, rows)
+    letters = hangul_codec.decompose(verb)
+    try:
+        return entries, rows, [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+    except Uncomposable as err:
+        stuck = err  # raised outside this block, so no context is kept
+    for slot, rest, ending, verb_class, ending_class, rule in rows:
+        stop, head = junctions[slot]
+        if letters[:stop] + head == stuck.letters:  # no junction before the stuck one has them
+            raise Uncomposable(stuck.letters + hangul_codec.decompose(rest), stuck.position, (
+                f"stem {verb!r} (verb class {verb_class}) + ending {ending!r} "
+                f"(ending class {ending_class}), rule {ruleset.serialize_rule(rule)}")) from None
 
 
 def _entries(lexicon, verb, endings=None):

@@ -88,7 +88,7 @@ class Lexicon:
                 raise DuplicateVerb(v.surface, None if line is None else f"{path}:{line}")
             self.verbs[v.surface] = _checked("stem", v, v.class_ids, ruleset.VERB_CLASSES, verb_need,
                                              path, line)
-        self._plans = {}  # the conjugator's caches: plans (each with its rows), ending sides
+        self._plans, self._sides = {}, {}  # the conjugator's caches: class-tuple plans, ending sides
 
     def endings_of_class(self, ending_class):
         """Endings of one class, in file order; empty tuple if unpopulated."""

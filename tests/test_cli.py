@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,28 @@ def test_lemmatize_unknown_scope_member(capsys):
     code, out, err = run_cli(["lemmatize", "물어", "--scope", "뛰"], capsys)
     assert code == 1
     assert err.strip() == "Not Found"
+
+
+def nfd(text):
+    return unicodedata.normalize("NFD", text)
+
+
+# Decomposed (NFD) Hangul, as a macOS paste gives, is conjoining jamo: matching
+# stays exact, so it is not found, and one more stderr line says why. stdout and
+# the exit code are those of the same miss in NFC.
+@pytest.mark.parametrize("argv,out", [
+    (["conjugate", nfd("모르")], ""),
+    (["pair", nfd("모르"), "아"], ""),
+    (["pair", "모르", nfd("아")], ""),
+    (["lemmatize", nfd("몰라")], nfd("몰라") + "\n"),
+    (["--format", "json", "lemmatize", nfd("몰라")],
+     json.dumps({"form": nfd("몰라"), "candidates": []}, ensure_ascii=False, indent=2) + "\n"),
+    (["lemmatize", "몰라", "--scope", nfd("모르")], ""),
+], ids=["conjugate", "pair stem", "pair ending", "lemmatize", "lemmatize json", "scope"])
+def test_decomposed_input_is_not_found_and_says_why(capsys, argv, out):
+    assert run_cli(argv, capsys) == (1, out, (
+        "Not Found\nnote: the input holds conjoining jamo (U+1100-U+11FF), and koverbs "
+        "matches only precomposed (NFC) Hangul\n"))
 
 
 # ---------------------------------------------------------------- validate

@@ -612,13 +612,12 @@ def rows_of(plan):
 
 def test_a_plans_rows_are_its_entries_flattened():
     # build_index reads each class tuple's rows from its one cached plan; the
-    # lexicon caches nothing else but ending sides.
+    # lexicon caches the ending sides apart from the plans.
     lex = load_lexicon(*shipped_paths())
     build_index(lex)
-    plans = {key: plan for key, plan in lex._plans.items() if all(type(c) is int for c in key)}
-    assert len(plans) == 46
-    assert all(type(key[0]) is tuple for key in lex._plans.keys() - plans.keys())
-    assert all(plan[2] == rows_of(plan) for plan in plans.values())
+    assert lex._plans.keys() == {v.class_ids for v in lex.verbs.values()}
+    assert (len(lex._plans), len(lex._sides)) == (46, 130)
+    assert all(plan[2] == rows_of(plan) for plan in lex._plans.values())
 
 
 def test_distinct_steps_that_collide_keep_their_classes_in_order():
@@ -647,6 +646,33 @@ def test_a_shared_stuck_junction_names_the_first_class(classes):
         assert vars(exc.value) == {"source": source, "position": 4,
                                    "letters": ("ㄱ", "ㅏ", "ㄴ", "ㅏ", "ㅏ", "ㅇ", "ㅑ")}
         assert str(exc.value) == f"{source}: cannot compose 'ㄱㅏㄴㅏㅏㅇㅑ': stuck at letter 4"
+
+
+def test_a_stuck_junction_raises_its_own_error_without_apply_rule(monkeypatch):
+    # The engine names a stuck junction's first row from the junction's letters,
+    # not by replaying rows with apply_rule: with apply_rule broken, 가나 in verb
+    # class 4 (as in test_uncomposable_names_its_source) and a junction two
+    # classes share fail as before.
+    def broken(*args):
+        raise AssertionError("the engine called apply_rule")
+
+    monkeypatch.setattr(cj, "apply_rule", broken)
+    letters = ("ㄱ", "ㅏ", "ㄴ", "ㅏ", "ㅏ", "ㅇ", "ㅑ")
+    shared = Template({(1, 1): Rule(None, (), 1), (2, 1): Rule(None, (), 1)})
+    cases = [(Lexicon(SHIPPED.endings, [VerbEntry("가나", (4,))], SHIPPED.template),
+              "stem '가나' (verb class 4) + ending '아야' (ending class 6), rule None,,1"),
+             (Lexicon([EndingEntry("아야", 1)], [VerbEntry("가나", (2, 1))], shared),
+              "stem '가나' (verb class 2) + ending '아야' (ending class 1), rule None,,1")]
+    for lex, source in cases:
+        for call in (lambda: cj.conjugate(lex, "가나"), lambda: cj.conjugate_pair(lex, "가나", "아야"),
+                     lambda: build_index(lex)):
+            with pytest.raises(Uncomposable) as exc:
+                call()
+            assert type(exc.value) is Uncomposable
+            assert vars(exc.value) == {"source": source, "position": 4, "letters": letters}
+            assert str(exc.value) == f"{source}: cannot compose 'ㄱㅏㄴㅏㅏㅇㅑ': stuck at letter 4"
+            assert (exc.value.__cause__, exc.value.__context__, exc.value.__suppress_context__) \
+                == (None, None, True)
 
 
 @settings(max_examples=200, deadline=None)

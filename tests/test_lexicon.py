@@ -205,6 +205,15 @@ def test_a_byte_order_mark_keeps_the_file_offset_of_a_bad_byte(tmp_path):
         (2, f"not UTF-8: byte 0xff at offset {len(head)} (invalid start byte)")
 
 
+def test_a_bad_byte_after_a_leading_newline_is_on_line_2(tmp_path):
+    paths = write_data(tmp_path)
+    paths[1].write_bytes(b"\n\xff\n")
+    with pytest.raises(ParseError) as exc:
+        lx.load(*paths)
+    assert (exc.value.line, exc.value.reason) == \
+        (2, "not UTF-8: byte 0xff at offset 1 (invalid start byte)")
+
+
 def test_verb_class_not_integer(tmp_path):
     with pytest.raises(ParseError):
         lx.load(*write_data(tmp_path, verbs="가\ttwenty\n"))

@@ -32,6 +32,11 @@ def test_parse_rule_fields():
     assert ruleset.parse_rule("-1,ㅇㅘ,2") == ruleset.Rule(-1, ("ㅇ", "ㅘ"), 2)
 
 
+def test_parse_rule_takes_up_to_640_digits():
+    # 640 is the lowest int-string limit Python allows; 641 digits are refused above.
+    assert ruleset.parse_rule("-" + "9" * 640 + ",,1").verb_stop == -int("9" * 640)
+
+
 def test_serialize_rule():
     assert ruleset.serialize_rule(ruleset.IDENTITY_RULE) == "None,,None"
     assert ruleset.serialize_rule(ruleset.Rule(-1, ("ㅇ", "ㅘ"), 2)) == "-1,ㅇㅘ,2"
@@ -60,6 +65,7 @@ def test_serialize_rule():
     ("-2,ㅐ,02", "not an integer"),
     # int() raises ValueError on this many digits.
     pytest.param("-" + "9" * 5000 + ",,1", "not an integer", id="5000 digits-not an integer"),
+    pytest.param("-" + "9" * 641 + ",,1", "not an integer", id="641 digits-not an integer"),
 ])
 def test_parse_rule_rejects(text, reason_piece):
     with pytest.raises(MalformedRule) as exc:
@@ -166,6 +172,14 @@ def test_parse_template_shape_errors(mangle, reason_piece):
     with pytest.raises(ParseError) as exc:
         ruleset.parse_template(text)
     assert reason_piece in exc.value.reason
+
+
+def test_a_row_label_error_quotes_the_label_it_read():
+    lines = TEMPLATE_PATH.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace("1\t", "9\t", 1)
+    with pytest.raises(ParseError) as exc:
+        ruleset.parse_template("\n".join(lines) + "\n")
+    assert exc.value.reason == "row label '9', expected 1"
 
 
 @pytest.mark.parametrize("mangle,line_no", [
