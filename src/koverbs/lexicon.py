@@ -11,6 +11,8 @@ Three data files make up a lexicon (in every data file, blank lines are skipped)
 A fourth optional file, expectations.tsv, drives validate(): each line
 is scope TAB class id TAB check TAB true/false, where check is one of
 the surface predicates below. Violations are reported, never raised.
+
+load parses and checks each distinct class-id field once (_checked).
 """
 
 from dataclasses import dataclass
@@ -80,14 +82,15 @@ class Lexicon:
         against its classes' deepest slice too, so no rule reaches past its letters."""
         self.template = template
         verb_need, ending_need = _slice_needs(template)
+        verb_seen = {}  # for _checked; each ending's class-id tuple is a new one, so it gets none
         self.endings = tuple(_checked("ending", e, (e.class_id,), ruleset.ENDING_CLASSES, ending_need,
-                                      path, line) for path, line, e in endings)
+                                      {}, path, line) for path, line, e in endings)
         self.verbs = {}
         for path, line, v in verbs:
             if v.surface in self.verbs:
                 raise DuplicateVerb(v.surface, None if line is None else f"{path}:{line}")
             self.verbs[v.surface] = _checked("stem", v, v.class_ids, ruleset.VERB_CLASSES, verb_need,
-                                             path, line)
+                                             verb_seen, path, line)
         self._plans, self._sides = {}, {}  # the conjugator's caches: class-tuple plans, ending sides
 
     def endings_of_class(self, ending_class):
@@ -114,24 +117,32 @@ def _class_ids(raw, path, line_no):
     return tuple(class_ids)
 
 
-def _checked(kind, entry, class_ids, classes, needs, path, line):
+def _checked(kind, entry, class_ids, classes, needs, seen, path, line):
     """`entry`, a stem or an ending (`kind`), unless a field is of the wrong type, it has no class
     ids, one outside `classes` or repeated, an empty or non-Hangul surface, or fewer letters
-    than its classes slice (`needs`)."""
+    than its classes slice (`needs`). `seen` maps the id of each class-id tuple checked so far
+    to it (held, so no other object takes that id) and its deepest slice: identity, not equality,
+    as `(True,)` equals `(1,)`. A syllable has 2 letters or more, so a surface of syllables alone
+    passes undecomposed when twice its length reaches that slice."""
     if not isinstance(entry.surface, str):
         raise ParseError(path, line, f"surface {entry.surface!r} is not a string")
-    if not isinstance(class_ids, tuple):
-        raise ParseError(path, line, f"class ids {class_ids!r} are not a tuple")
-    if not class_ids:
-        raise ParseError(path, line, "no class ids")
-    for i, class_id in enumerate(class_ids):
-        if type(class_id) is not int or class_id not in classes:  # a source built on failure only
-            ruleset._check_class(class_id, classes, path if line is None else f"{path}:{line}")
-            raise ParseError(path, line, f"class id {class_id!r} is not an integer")  # True, 1.0
-        if class_ids.index(class_id) < i:
-            raise ParseError(path, line, f"class id {class_id} repeated")
+    if (known := seen.get(id(class_ids))) is None:
+        if not isinstance(class_ids, tuple):
+            raise ParseError(path, line, f"class ids {class_ids!r} are not a tuple")
+        if not class_ids:
+            raise ParseError(path, line, "no class ids")
+        for i, class_id in enumerate(class_ids):
+            if type(class_id) is not int or class_id not in classes:  # a source built on failure only
+                ruleset._check_class(class_id, classes, path if line is None else f"{path}:{line}")
+                raise ParseError(path, line, f"class id {class_id!r} is not an integer")  # True, 1.0
+            if class_ids.index(class_id) < i:
+                raise ParseError(path, line, f"class id {class_id} repeated")
+        known = seen[id(class_ids)] = class_ids, max(needs.get(class_id, 0) for class_id in class_ids)
     if not entry.surface:
         raise ParseError(path, line, "empty surface")
+    if "\uac00" <= min(entry.surface) and max(entry.surface) <= "\ud7a3" \
+            and 2 * len(entry.surface) >= known[1]:
+        return entry
     try:
         length = len(hangul_codec.decompose(entry.surface))
     except NonHangulInput as err:
@@ -144,17 +155,22 @@ def _checked(kind, entry, class_ids, classes, needs, path, line):
 
 
 def _entries(path, entry, parse):
-    """(path, line, entry) for each row of a data file, read when first asked."""
+    """(path, line, entry) per row of a data file, read when asked, parsing each class-id field once."""
+    parsed = {}
     for line_no, (surface, raw) in ruleset._rows(ruleset._read(path), 2, path):
-        yield path, line_no, entry(surface, parse(raw, path, line_no))
+        if raw not in parsed:
+            parsed[raw] = parse(raw, path, line_no)
+        yield path, line_no, entry(surface, parsed[raw])
 
 
 def _slice_needs(template):
-    """Per class, the deepest slice any of its rules would take."""
+    """Per class, the deepest slice any of its rules would take, where that is past letter 0."""
     verb_need, ending_need = {}, {}
     for (verb_class, ending_class), rule in template.cells():
-        verb_need[verb_class] = max(verb_need.get(verb_class, 0), -(rule.verb_stop or 0))
-        ending_need[ending_class] = max(ending_need.get(ending_class, 0), rule.ending_start or 0)
+        if rule.verb_stop is not None and -rule.verb_stop > verb_need.get(verb_class, 0):
+            verb_need[verb_class] = -rule.verb_stop
+        if rule.ending_start is not None and rule.ending_start > ending_need.get(ending_class, 0):
+            ending_need[ending_class] = rule.ending_start
     return verb_need, ending_need
 
 

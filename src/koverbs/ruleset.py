@@ -98,10 +98,13 @@ class Template:
 
     def __init__(self, cells):
         self._cells = dict(cells)
+        checked = set()  # ids of the rules checked so far, each held by a cell
         for (verb_class, ending_class), rule in self._cells.items():
             _check_class(verb_class, VERB_CLASSES)
             _check_class(ending_class, ENDING_CLASSES)
-            _check_rule(rule, (verb_class, ending_class))
+            if id(rule) not in checked:
+                _check_rule(rule, (verb_class, ending_class))
+                checked.add(id(rule))
 
     def lookup(self, verb_class, ending_class):
         """Return the Rule for a cell, or None when the cell is blank."""
@@ -138,16 +141,17 @@ def parse_template(text, source="<template>"):
     if header != _HEADER:
         raise ParseError(source, line_no, "header must be blank then ending class ids 1..24")
 
-    cells = {}
+    cells, rules = {}, {}  # each distinct rule text is parsed once, and its cells share the Rule
     for verb_class, (line_no, fields) in zip(VERB_CLASSES, body):
         if fields[0] != str(verb_class):
             raise ParseError(source, line_no, f"row label {fields[0]!r}, expected {verb_class}")
         for ending_class, cell in zip(ENDING_CLASSES, fields[1:]):
             if cell:
                 try:
-                    cells[(verb_class, ending_class)] = parse_rule(cell)
+                    rule = rules.get(cell) or rules.setdefault(cell, parse_rule(cell))
                 except MalformedRule as err:
                     raise MalformedRule(err.text, err.reason, f"{source}:{line_no}") from None
+                cells[(verb_class, ending_class)] = rule
     return Template(cells)
 
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from koverbs import hangul_codec, ruleset
 from koverbs import lexicon as lx
-from koverbs.errors import DuplicateVerb, KoverbsError, ParseError, RangeError
+from koverbs.errors import DuplicateVerb, KoverbsError, NonHangulInput, ParseError, RangeError
 
 from conftest import shipped_paths
 
@@ -90,13 +92,15 @@ def test_lexicon_rejects_a_duplicate_stem(lexicon):
     ("endings", "\t1", lx.EndingEntry("", 1)),
     ("verbs", "run\t29", lx.VerbEntry("run", (29,))),
     ("endings", "go\t1", lx.EndingEntry("go", 1)),
+    ("verbs", "가\ud7a4\t1", lx.VerbEntry("가\ud7a4", (1,))),
     ("verbs", "가\t", lx.VerbEntry("가", ())),
     ("verbs", "가\t29,29", lx.VerbEntry("가", (29, 29))),
     ("verbs", "가\t99", lx.VerbEntry("가", (99,))),
     ("endings", "고\t25", lx.EndingEntry("고", 25)),
     ("verbs", "ㄱ\t8", lx.VerbEntry("ㄱ", (8,))),
     ("endings", "ㄴ\t3", lx.EndingEntry("ㄴ", 3)),
-], ids=["empty stem", "empty ending", "non-Hangul stem", "non-Hangul ending", "no class ids",
+], ids=["empty stem", "empty ending", "non-Hangul stem", "non-Hangul ending",
+        "stem with a character past the syllables", "no class ids",
         "repeated class id", "verb class out of range", "ending class out of range",
         "stem shorter than its rules slice", "ending shorter than its rules slice"])
 def test_a_hand_built_lexicon_refuses_what_load_refuses(tmp_path, lexicon, name, line, entry):
@@ -124,6 +128,107 @@ def test_a_hand_built_lexicon_refuses_fields_of_the_wrong_type(lexicon, endings,
     with pytest.raises(ParseError) as exc:
         lx.Lexicon(endings, verbs, lexicon.template)
     assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("class_ids,error,reason", [
+    ((True,), ParseError, "stem '나': class id True is not an integer"),
+    ((1.0,), ParseError, "stem '나': class id 1.0 is not an integer"),
+    (([1],), RangeError, "stem '나': class id [1] out of range 1..46"),
+    (None, ParseError, "stem '나': class ids None are not a tuple"),
+    ((), ParseError, "stem '나': no class ids"),
+], ids=["bool", "float", "unhashable", "None", "empty"])
+def test_class_ids_equal_to_checked_ones_are_still_checked(lexicon, class_ids, error, reason):
+    # (True,) and (1.0,) equal (1,) and hash as it does, and ([1],) has no hash: a tuple
+    # checked once is matched by identity, so each of these is checked as if it came first.
+    with pytest.raises(error) as exc:
+        lx.Lexicon([], [lx.VerbEntry("가", (1,)), lx.VerbEntry("나", class_ids)], lexicon.template)
+    assert type(exc.value) is error and str(exc.value) == reason
+
+
+@pytest.mark.parametrize("stops,surface,letters", [
+    ((-3,), "가", 2), ((-3,), "각", None), ((-4,), "가나", None), ((-5,), "가나", 4), ((-5,), "가각", None),
+    ((-6,), "닭", 4), ((-1, -5), "가나", 4),
+])
+def test_a_syllable_stem_is_refused_by_its_letters_not_its_syllables(stops, surface, letters):
+    # A syllable has 2 to 4 letters, so a stem of n syllables is accepted without being
+    # decomposed only when its classes slice at most 2n letters, the deepest of them counting
+    # (here the last); others are counted.
+    classes = tuple(range(1, len(stops) + 1))
+    template = ruleset.Template({(verb_class, 1): ruleset.Rule(stop, (), None)
+                                 for verb_class, stop in zip(classes, stops)})
+    if letters is None:
+        assert list(lx.Lexicon([], [lx.VerbEntry(surface, classes)], template).verbs) == [surface]
+        return
+    with pytest.raises(ParseError) as exc:
+        lx.Lexicon([], [lx.VerbEntry(surface, classes)], template)
+    assert str(exc.value) == (f"stem {surface!r}: stem {surface!r} has {letters} letters but "
+                              f"class {classes[-1]} rules slice {-stops[-1]}")
+
+
+@st.composite
+def small_lexicons(draw):
+    """A hand-built template over verb and ending classes 1..3, with verb stops down to -6,
+    and endings and stems whose surfaces mix syllables, lone jamo, clusters, Latin and ""."""
+    rules = st.one_of(st.none(), st.builds(ruleset.Rule, st.one_of(st.none(), st.integers(-6, -1)),
+                                           st.just(()), st.one_of(st.none(), st.integers(1, 6))))
+    grid = [(verb_class, ending_class) for verb_class in (1, 2, 3) for ending_class in (1, 2, 3)]
+    cells = zip(grid, draw(st.lists(rules, min_size=9, max_size=9)))
+    syllables = st.one_of(
+        st.sampled_from("가나각닭"),  # 2, 2, 3 and 4 letters: most syllables have a final
+        st.characters(min_codepoint=hangul_codec.SYLLABLE_BASE, max_codepoint=hangul_codec.SYLLABLE_LAST))
+    # Below the syllable block: lone jamo, clusters and Latin; past it: U+D7A4 and a halfwidth ㄱ.
+    below = st.sampled_from(sorted(hangul_codec.LETTERS | set(hangul_codec.CLUSTER_FINALS)) + ["a", "z"])
+    past = st.sampled_from("\ud7a4\uffa1")
+    surfaces = st.one_of(*(st.text(st.one_of(syllables, *others), max_size=4)
+                           for others in ((), (past,), (below,), (below, past))))
+    endings = draw(st.lists(st.builds(lx.EndingEntry, surfaces, st.integers(1, 3)), max_size=4))
+    # Stems share a few class-id tuple objects, as the stems of one loaded class-id field do.
+    shared = [(1,), (2,), (3,), (1, 2), (2, 1), (3, 1), (3, 2, 1)]
+    verbs = draw(st.lists(st.builds(lx.VerbEntry, surfaces, st.sampled_from(shared)), max_size=6,
+                          unique_by=lambda v: v.surface))
+    return ruleset.Template({cell: rule for cell, rule in cells if rule}), endings, verbs
+
+
+def refused_by_decomposing(kind, surface, class_ids, needs):
+    """What a well-typed entry is refused for, by a check that decomposes every surface."""
+    if not surface:
+        return "empty surface"
+    try:
+        length = len(hangul_codec.decompose(surface))
+    except NonHangulInput as err:
+        return f"surface {surface!r}: {err}"
+    for class_id in class_ids:
+        if length < needs.get(class_id, 0):
+            return (f"{kind} {surface!r} has {length} letters but class {class_id} rules slice "
+                    f"{needs[class_id]}")
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lexicons())
+def test_a_lexicon_refuses_what_decomposing_every_surface_refuses(drawn):
+    # The whole lexicon, whose stems share class-id tuples, then each entry on its own.
+    template, endings, verbs = drawn
+    verb_need, ending_need = {}, {}
+    for (verb_class, ending_class), rule in template.cells():
+        verb_need[verb_class] = max(verb_need.get(verb_class, 0), -(rule.verb_stop or 0))
+        ending_need[ending_class] = max(ending_need.get(ending_class, 0), rule.ending_start or 0)
+    for some_endings, some_verbs in [(endings, verbs), *(([e], []) for e in endings),
+                                     *(([], [v]) for v in verbs)]:
+        expected = None
+        for kind, surface, class_ids, needs in [
+                *(("ending", e.surface, (e.class_id,), ending_need) for e in some_endings),
+                *(("stem", v.surface, v.class_ids, verb_need) for v in some_verbs)]:
+            if (reason := refused_by_decomposing(kind, surface, class_ids, needs)) is not None:
+                expected = f"{kind} {surface!r}: {reason}"
+                break
+        try:
+            built = lx.Lexicon(some_endings, some_verbs, template)
+        except ParseError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+            assert (built.endings, list(built.verbs.values())) == (tuple(some_endings), some_verbs)
 
 
 @pytest.mark.parametrize("rewrite", [
@@ -252,6 +357,21 @@ def test_empty_surface(tmp_path, name):
         lx.load(*paths)
     assert (exc.value.path, exc.value.line, exc.value.reason) == \
         (str(tmp_path / f"{name}.tsv"), 2, "empty surface")
+
+
+@pytest.mark.parametrize("name,text,line,reason", [
+    ("verbs", "가\t8\n나\t8\nㄱ\t8\n", 3, "stem 'ㄱ' has 1 letters but class 8 rules slice 2"),
+    ("verbs", "가\t1\n가a\t1\n", 2, "surface '가a': non-Hangul character 'a' at position 1"),
+    ("endings", "어야\t3\n나\t1\nㄴ\t3\n", 3, "ending 'ㄴ' has 1 letters but class 3 rules slice 2"),
+    # The bad line comes before a line whose field does not parse, and is named.
+    ("verbs", "가\t8\nㄱ\t8\n가나\tx\n", 2, "stem 'ㄱ' has 1 letters but class 8 rules slice 2"),
+], ids=["short stem", "non-Hangul stem", "short ending", "before a parse error"])
+def test_a_line_that_repeats_a_checked_field_fails_at_its_own_line(tmp_path, name, text, line, reason):
+    # Each distinct class-id field is parsed and checked once; the surface is still checked per line.
+    with pytest.raises(ParseError) as exc:
+        lx.load(*write_data(tmp_path, **{name: text}))
+    assert (exc.value.path, exc.value.line, exc.value.reason) == \
+        (str(tmp_path / f"{name}.tsv"), line, reason)
 
 
 def test_verb_class_repeated(tmp_path):

@@ -117,8 +117,21 @@ def test_lookup_range_checks(template):
 ], ids=["str-postfix", "list-postfix", "latin-letter", "unhashable-letter", "rule-string",
         "str-stop", "bool-stop", "float-start"])
 def test_a_hand_built_template_refuses_a_malformed_cell(value, reason):
+    # A value in two cells is checked once, and named at its first cell.
     with pytest.raises(MalformedRule) as exc:
-        ruleset.Template({(1, 1): ruleset.IDENTITY_RULE, (2, 3): value})
+        ruleset.Template({(1, 1): ruleset.IDENTITY_RULE, (2, 3): value, (4, 5): value})
+    assert (exc.value.text, exc.value.reason, exc.value.source) == (value, reason, "cell (2, 3)")
+
+
+@pytest.mark.parametrize("checked, value, reason", [
+    (ruleset.Rule(1, (), None), ruleset.Rule(True, (), None), "verb stop True is not an integer"),
+    (ruleset.Rule(None, (), 1), ruleset.Rule(None, (), 1.0), "ending start 1.0 is not an integer"),
+], ids=["bool-stop", "float-start"])
+def test_a_malformed_rule_equal_to_a_checked_one_is_refused(checked, value, reason):
+    # Rules are matched by identity: this one equals the rule checked before it and hashes the same.
+    assert (checked, hash(checked)) == (value, hash(value))
+    with pytest.raises(MalformedRule) as exc:
+        ruleset.Template({(1, 1): checked, (2, 3): value})
     assert (exc.value.text, exc.value.reason, exc.value.source) == (value, reason, "cell (2, 3)")
 
 
@@ -152,6 +165,12 @@ def test_template_round_trips_through_cells(template):
 def test_postfixes_use_only_letter_alphabet(template):
     for _, rule in template.cells():
         assert all(ch in hc.LETTERS for ch in rule.postfix)
+
+
+def test_each_distinct_rule_text_is_parsed_once(template):
+    # 412 cells hold 19 distinct rules; the cells of one rule share one Rule.
+    rules = [rule for _, rule in template.cells()]
+    assert len({id(rule) for rule in rules}) == len(set(rules)) == 19
 
 
 def test_serialize_is_byte_identical_to_shipped_file(template):
