@@ -5,11 +5,11 @@ append the rule's postfix, append the ending's letters sliced from the head, and
 result back into syllables. Every call takes one path (_packed): the plan of the stem's
 classes over the call's endings (_plan; every ending, cached per class tuple on the
 lexicon, or a pair's own ending lines) packs its distinct junctions once, and a form is its
-junction's text plus the step's pre-packed rest (_side). _entries builds the forms of
-conjugate and conjugate_pair alike; build_index reads the plan's rows, its steps flattened
-in the same compile. A junction that cannot pack raises apply_rule's error on the first row
-that uses it, by _side's cut; no slice reaches past its letters, as a Lexicon checks every
-entry against its classes' deepest slice. SurfaceForm's and LemmaCandidate's __init__ fill
+junction's text plus the step's pre-packed rest (_side). The plan is one flat list of
+steps, read whole by _entries (the forms of conjugate and conjugate_pair) and by
+build_index. A junction that cannot pack raises apply_rule's error on the first step that
+uses it, by _side's cut; no slice reaches past its letters, as a Lexicon checks every entry
+against its classes' deepest slice. SurfaceForm's and LemmaCandidate's __init__ fill
 __dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace as
 frozen dataclasses, and LemmaCandidate orders as one.
 """
@@ -70,35 +70,32 @@ def apply_rule(verb_letters, ending_letters, rule):
 
 
 def _plan(lexicon, class_ids, endings=None):
-    """The conjugation plan of these verb classes over `endings`, in their order; by
-    default every ending, by ending class, then file order, compiled on first use and
-    cached on the lexicon: (junctions, ((EndingEntry, steps), ...), rows), without all-blank
-    endings. A step (provenance, slot, rest) takes (head, rest) from a rule's side of its
-    ending (_side); the stem's classes whose rules give one (slot, rest) make one step, in
-    order of first use, its provenance ((verb class, rule), ...) in class order, built once
-    for all its forms. Its slot indexes junctions, each distinct (verb stop, head) once, in
-    order of first use. The rows flatten the steps in plan order, one (slot, rest, ending,
-    verb class, ending class, rule) per provenance pair; a row's form is texts[slot] + rest."""
+    """The conjugation plan of these verb classes over `endings`, in their order; by default
+    every ending, by ending class, then file order, compiled on first use and cached on the
+    lexicon: (junctions, steps), without all-blank endings. A step is (slot, rest, ending,
+    ending class, provenance, entry), its form texts[slot] + rest: a rule's side of the
+    ending (_side) gives the head of junction `slot`, each distinct (verb stop, head) once,
+    and the rest. The classes whose rules give one (slot, rest) make one step, in order of
+    first use, its provenance ((verb class, rule), ...) in class order. `entry` is the
+    EndingEntry on an ending's first step and None on its later steps."""
     if endings is None:
         plan = lexicon._plans.get(class_ids)
         if plan is None:
             every = sorted(lexicon.endings, key=lambda e: e.class_id)
             lexicon._plans[class_ids] = plan = _plan(lexicon, class_ids, every)
         return plan
-    slots, entries, rows = {}, [], []
+    slots, steps = {}, []
     for entry in endings:
-        steps = {}  # (slot, rest): provenance; classes that coincide make one step
+        merged = {}  # (slot, rest): provenance; classes that coincide make one step
         for c in class_ids:
             rule = lexicon.template.lookup(c, entry.class_id)
             if rule is not None:
                 head, rest = _side(lexicon, rule, entry.surface)
                 key = slots.setdefault((rule.verb_stop, head), len(slots)), rest
-                steps[key] = steps.get(key, ()) + ((c, rule),)
-        if steps:
-            entries.append((entry, tuple((provenance, *key) for key, provenance in steps.items())))
-            rows += ((*key, entry.surface, c, entry.class_id, rule)
-                     for key, provenance in steps.items() for c, rule in provenance)
-    return tuple(slots), tuple(entries), tuple(rows)
+                merged[key] = merged.get(key, ()) + ((c, rule),)
+        steps += ((*key, entry.surface, entry.class_id, provenance, entry if i == 0 else None)
+                  for i, (key, provenance) in enumerate(merged.items()))
+    return tuple(slots), tuple(steps)
 
 
 def _side(lexicon, rule, surface):
@@ -124,19 +121,19 @@ def _side(lexicon, rule, surface):
 
 
 def _packed(lexicon, verb, endings=None):
-    """A stem's plan over `endings` (see _plan): its entries, its rows and its junctions'
-    texts. A stuck junction raises apply_rule's error on the first row that uses it (_side),
-    the first stuck row too, as rows take up slots in order."""
+    """A stem's plan over `endings` (see _plan): its steps and its junctions' texts. A stuck
+    junction raises apply_rule's error on the first step that uses it, named by the step's
+    first class (_side); that is the first stuck step too, as steps take up slots in order."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
-    junctions, entries, rows = _plan(lexicon, verb_entry.class_ids, endings)
+    junctions, steps = _plan(lexicon, verb_entry.class_ids, endings)
     letters = hangul_codec.decompose(verb)
     try:
-        return entries, rows, [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+        return steps, [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
     except Uncomposable as err:
         stuck = err  # raised outside this block, so no context is kept
-    for slot, rest, ending, verb_class, ending_class, rule in rows:
+    for slot, rest, ending, ending_class, ((verb_class, rule), *_), _ in steps:
         stop, head = junctions[slot]
         if letters[:stop] + head == stuck.letters:  # no junction before the stuck one has them
             raise Uncomposable(stuck.letters + hangul_codec.decompose(rest), stuck.position, (
@@ -145,25 +142,24 @@ def _packed(lexicon, verb, endings=None):
 
 
 def _entries(lexicon, verb, endings=None):
-    """[(EndingEntry, (SurfaceForm, ...)), ...] for a stem's plan over `endings` (see _plan);
-    a text that several of the stem's classes make is one form."""
-    plan, _, texts = _packed(lexicon, verb, endings)
+    """[(EndingEntry, (SurfaceForm, ...)), ...] for a stem's plan over `endings` (see _plan),
+    one form per step; a later step whose text an earlier step of its ending made merges
+    into that form, its classes back in the stem's order."""
+    steps, texts = _packed(lexicon, verb, endings)
     entries = []
-    for entry, steps in plan:
-        if len(steps) == 1:  # nearly every entry: one form, nothing to merge
-            (provenance, slot, rest), = steps
-            forms = SurfaceForm(texts[slot] + rest, verb, entry.surface, entry.class_id, provenance),
-        else:
-            sources, order = {}, lexicon.verbs[verb].class_ids
-            for provenance, slot, rest in steps:
-                text = texts[slot] + rest
-                if text in sources:  # distinct steps, one text: classes back in the stem's order
-                    provenance = tuple(sorted(sources[text] + provenance,
-                                              key=lambda pair: order.index(pair[0])))
-                sources[text] = provenance
-            forms = tuple(SurfaceForm(text, verb, entry.surface, entry.class_id, provenance)
-                          for text, provenance in sources.items())
-        entries.append((entry, forms))
+    for slot, rest, ending, ending_class, provenance, entry in steps:
+        text = texts[slot] + rest
+        if entry is not None:  # nearly every ending: one step, one form
+            entries.append((entry, (SurfaceForm(text, verb, ending, ending_class, provenance),)))
+            continue
+        first, forms = entries[-1]
+        made = [form.text for form in forms]
+        at = made.index(text) if text in made else len(forms)
+        if at < len(forms):  # distinct steps, one text: classes back in the stem's order
+            provenance = tuple(sorted(forms[at].provenance + provenance,
+                                      key=lambda p: lexicon.verbs[verb].class_ids.index(p[0])))
+        form = SurfaceForm(text, verb, ending, ending_class, provenance)
+        entries[-1] = first, forms[:at] + (form,) + forms[at + 1:]  # a merged form keeps its place
     return entries
 
 

@@ -1,10 +1,10 @@
 """Reverse lookup from a conjugated form to its (stem, ending) sources.
 
-The index is built eagerly in one pass over each stem's texts and the rows its class
-tuple's plan compiles with it (conjugator._packed), the cyclic collector paused: the index
-holds no cycles, and other threads' cyclic garbage waits for the next collection. A lone
-candidate is stored bare. Lookup is exact text matching, with no fuzzy matching or
-normalization.
+The index is built eagerly in one pass over each stem's texts and its class tuple's plan
+steps (conjugator._packed), one candidate per class of a step, into the returned index's
+own dict, the cyclic collector paused: the index holds no cycles, and other threads' cyclic
+garbage waits for the next collection. A lone candidate is stored bare. Lookup is exact
+text matching, with no fuzzy matching or normalization.
 """
 
 import gc
@@ -59,22 +59,25 @@ def build_index(lexicon, verbs=None):
     for verb in scope:
         if verb not in lexicon.verbs:
             raise NotFound(verb)
-    index = {}
+    index, built = {}, FormIndex.__new__(FormIndex)  # filled in place: FormIndex() copies
+    built._index, built.scope = index, scope
     enabled = gc.isenabled()
     gc.disable()  # the index holds no reference cycles: collecting while it grows finds nothing
     try:
         for verb in scope:
-            _, rows, texts = conjugator._packed(lexicon, verb)
-            for slot, rest, ending, verb_class, ending_class, _ in rows:
-                found = LemmaCandidate(verb, ending, verb_class, ending_class)
-                known = index.setdefault(texts[slot] + rest, found)
-                if known is not found:  # a text made twice: its candidates merged, sorted
-                    index[texts[slot] + rest] = tuple(sorted(
-                        {*known, found} if type(known) is tuple else {known, found}))
+            steps, texts = conjugator._packed(lexicon, verb)
+            for slot, rest, ending, ending_class, provenance, _ in steps:
+                text = texts[slot] + rest
+                for verb_class, _ in provenance:
+                    found = LemmaCandidate(verb, ending, verb_class, ending_class)
+                    known = index.setdefault(text, found)
+                    if known is not found:  # a text made twice: its candidates merged, sorted
+                        index[text] = tuple(sorted(
+                            {*known, found} if type(known) is tuple else {known, found}))
     finally:
         if enabled:
             gc.enable()
-    return FormIndex(index, scope)
+    return built
 
 
 def lemmatize(index, form):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import astuple
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -258,15 +259,17 @@ def test_the_plan_packs_each_ending_side_once():
              "다ㅏ": (("ㄷ", "ㅏ", "ㅏ"), ""), "ㅏ다ㅏ고": (("ㅏ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")}
     template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㅓ",), 1)})
     lex = Lexicon([EndingEntry(e, 1) for e in tails], [], template)
-    junctions, plan, _ = cj._plan(lex, (1, 2))
+    junctions, steps = cj._plan(lex, (1, 2))
 
     def head_and_rest(step):
-        _, slot, rest = step
+        slot, rest, *_ = step
         return junctions[slot][1], rest
 
-    assert [(entry.surface, head_and_rest(steps[0])) for entry, steps in plan] == list(tails.items())
+    # Each ending has two steps, class 1's first, and only the first names its entry.
+    assert [step[5] for step in steps] == [e for entry in lex.endings for e in (entry, None)]
+    assert [(step[2], head_and_rest(step)) for step in steps[::2]] == list(tails.items())
     # Class 2's tail is its postfix ㅓ and the ending's letters after the first.
-    assert [head_and_rest(steps[1]) for _, steps in plan] == [
+    assert [head_and_rest(step) for step in steps[1::2]] == [
         (("ㅓ", "ㅗ"), ""), (("ㅓ",), "다"), (("ㅓ",), "다"), (("ㅓ",), ""), (("ㅓ", "ㅏ", "ㅏ"), ""),
         (("ㅓ", "ㄷ", "ㅏ", "ㅏ", "ㄱ", "ㅗ"), "")]
 
@@ -506,8 +509,8 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
     # jamo ㄱ cannot pack: the pair with 다 fails on ㄱ + 다, not on ㄱ + 고.
     lex = Lexicon([EndingEntry("고", 1), EndingEntry("다", 1)], [VerbEntry("ㄱ", (1,))],
                   Template({(1, 1): IDENTITY_RULE}))
-    junctions, plan, _ = cj._plan(lex, (1,))
-    assert len(junctions) == 1 and [steps[0][1] for _, steps in plan] == [0, 0]
+    junctions, steps = cj._plan(lex, (1,))
+    assert len(junctions) == 1 and [slot for slot, *_ in steps] == [0, 0]
     for ending in ("고", "다"):
         assert_fails_as(lambda: cj.conjugate_pair(lex, "ㄱ", ending),
                         stuck(lex, "ㄱ", [EndingEntry(ending, 1)]))
@@ -582,54 +585,60 @@ def test_every_plan_shares_each_ending_side(monkeypatch):
     calls, original = [], hangul_codec.decompose
     monkeypatch.setattr(hangul_codec, "decompose", lambda text: calls.append(text) or original(text))
     plans = [cj._plan(lex, v.class_ids) for v in lex.verbs.values()]
-    sides = {(rule.postfix, rule.ending_start, entry.surface) for _, entries, _ in plans
-             for entry, steps in entries for provenance, _, _ in steps for _, rule in provenance}
+    sides = {(rule.postfix, rule.ending_start, ending) for _, steps in plans
+             for _, _, ending, _, provenance, _ in steps for _, rule in provenance}
     assert len(calls) == len(sides)
 
 
 def test_the_shipped_plans_merge_coinciding_steps():
     # Classes of one stem whose rules share a junction and a packed rest make
-    # the same text for any stem: the plan holds them as one step.
-    plans = {v.class_ids: cj._plan(SHIPPED, v.class_ids)[1] for v in SHIPPED.verbs.values()}
-    entries = [steps for plan in plans.values() for _, steps in plan]
-    assert len(plans) == 46
-    assert sum(map(len, entries)) == 1069
-    assert sum(len(steps) > 1 for steps in entries) == 13
-    assert all(len({(slot, rest) for _, slot, rest in steps}) == len(steps) for steps in entries)
-    # A merged step lists its classes in the stem's order.
-    assert all([c for c, _ in provenance] == [c for c in classes if c in dict(provenance)]
-               for classes, plan in plans.items() for _, steps in plan for provenance, _, _ in steps)
-
-
-def rows_of(plan):
-    """A plan's entries flattened: one (slot, rest, ending, verb class, ending class,
-    rule) row per (verb class, rule) of each step's provenance, in plan order."""
-    _, entries, _ = plan
-    return tuple((slot, rest, entry.surface, verb_class, entry.class_id, rule)
-                 for entry, steps in entries for provenance, slot, rest in steps
-                 for verb_class, rule in provenance)
-
-
-def test_a_plans_rows_are_its_entries_flattened():
-    # build_index reads each class tuple's rows from its one cached plan; the
-    # lexicon caches the ending sides apart from the plans.
+    # the same text for any stem: the plan holds them as one step. build_index
+    # reads each class tuple's steps from its one cached plan; the lexicon
+    # caches the ending sides apart from the plans.
     lex = load_lexicon(*shipped_paths())
     build_index(lex)
     assert lex._plans.keys() == {v.class_ids for v in lex.verbs.values()}
     assert (len(lex._plans), len(lex._sides)) == (46, 130)
-    assert all(plan[2] == rows_of(plan) for plan in lex._plans.values())
+    plans = {classes: steps for classes, (_, steps) in lex._plans.items()}
+    steps = [step for plan in plans.values() for step in plan]
+    assert len(steps) == 1069
+    assert sum(len(provenance) > 1 for _, _, _, _, provenance, _ in steps) == 96
+    assert sum(entry is None for *_, entry in steps) == 13
+    # Within an ending (a first step and the later ones after it), no two
+    # steps share a junction and a rest.
+    for plan in plans.values():
+        endings = accumulate(entry is not None for *_, entry in plan)
+        assert len({(at, slot, rest) for at, (slot, rest, *_) in zip(endings, plan)}) == len(plan)
+    # A merged step lists its classes in the stem's order.
+    assert all([c for c, _ in step[4]] == [c for c in classes if c in dict(step[4])]
+               for classes, plan in plans.items() for step in plan)
+
+
+def test_an_ending_listed_twice_makes_two_entries():
+    # Each line of the endings makes its own entry, even the same EndingEntry
+    # object twice: an ending's first step names it, whatever came before.
+    ending = EndingEntry("고", 1)
+    lex = Lexicon([ending, ending], [VerbEntry("가", (1,))], Template({(1, 1): IDENTITY_RULE}))
+    entries = cj.conjugate(lex, "가").entries
+    assert [(entry, [f.text for f in forms]) for entry, forms in entries] == \
+        [(ending, ["가고"]), (ending, ["가고"])]
+    assert [f.text for f in cj.conjugate_pair(lex, "가", "고")] == ["가고", "가고"]
 
 
 def test_distinct_steps_that_collide_keep_their_classes_in_order():
     # Classes 1 and 3 keep 갈 whole and share one step; class 2 drops its ㄹ
-    # and puts it back, another step with the same text, 갈고.
-    template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㄹ",), None),
-                         (3, 1): IDENTITY_RULE})
-    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry("갈", (1, 2, 3))], template)
-    (_, (form,)), = cj.conjugate(lex, "갈").entries
-    assert [form] == cj.conjugate_pair(lex, "갈", "고")
-    assert (form.text, [c for c, _ in form.provenance]) == ("갈고", [1, 2, 3])
-    assert [c.verb_class for c in build_index(lex).candidates("갈고")] == [1, 2, 3]
+    # and puts it back, another step with the same text, 갈고. When class 3
+    # drops the ㄹ instead (가고) and comes before class 2, class 2's later
+    # step merges into the first form, not the last one.
+    cases = [(IDENTITY_RULE, (1, 2, 3), [("갈고", [1, 2, 3])]),
+             (Rule(-1, (), None), (1, 3, 2), [("갈고", [1, 2]), ("가고", [3])])]
+    for third, classes, expected in cases:
+        template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㄹ",), None), (3, 1): third})
+        lex = Lexicon([EndingEntry("고", 1)], [VerbEntry("갈", classes)], template)
+        (_, forms), = cj.conjugate(lex, "갈").entries
+        assert list(forms) == cj.conjugate_pair(lex, "갈", "고")
+        assert [(f.text, [c for c, _ in f.provenance]) for f in forms] == expected
+        assert [c.verb_class for c in build_index(lex).candidates("갈고")] == expected[0][1]
 
 
 @pytest.mark.parametrize("classes", [(1, 2), (2, 1)])
@@ -692,4 +701,4 @@ def test_a_plan_does_not_depend_on_the_plans_compiled_before_it(first, second, c
     before = cj._plan(lex, first)
     plan = cj._plan(lex, second)
     assert plan == cj._plan(Lexicon(endings, [], Template(cells)), second)
-    assert (before[2], plan[2]) == (rows_of(before), rows_of(plan))
+    assert before == cj._plan(Lexicon(endings, [], Template(cells)), first)
