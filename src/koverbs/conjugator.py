@@ -4,14 +4,15 @@ apply_rule is the whole combination algorithm: slice the verb's letters from the
 append the rule's postfix, append the ending's letters sliced from the head, and pack the
 result back into syllables. Every call takes one path (_packed): the plan of the stem's
 classes over the call's endings (_plan; every ending, cached per class tuple on the
-lexicon, or a pair's own ending lines) packs its distinct junctions once, and a form is its
-junction's text plus the step's pre-packed rest (_side). The plan is one flat list of
-steps, read whole by _entries (the forms of conjugate and conjugate_pair) and by
-build_index. A junction that cannot pack raises apply_rule's error on the first step that
-uses it, by _side's cut; no slice reaches past its letters, as a Lexicon checks every entry
-against its classes' deepest slice. SurfaceForm's and LemmaCandidate's __init__ fill
-__dict__, not object.__setattr__ per field, yet both compare, hash, repr and replace as
-frozen dataclasses, and LemmaCandidate orders as one.
+lexicon, or a pair's own ending lines) packs its distinct junctions once, a stem of
+syllables alone being its identity junction's text, and a form is its junction's text plus
+the step's pre-packed rest (_side). The plan is one flat list of steps, read whole by
+_entries (the forms of conjugate and conjugate_pair) and by build_index. A junction that
+cannot pack raises apply_rule's error on the first step that uses it, by _side's cut; no
+slice reaches past its letters, as a Lexicon checks every entry against its classes' deepest
+slice. SurfaceForm's and LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per
+field, yet both compare, hash, repr and replace as frozen dataclasses, and LemmaCandidate
+orders as one.
 """
 
 from dataclasses import dataclass
@@ -121,16 +122,19 @@ def _side(lexicon, rule, surface):
 
 
 def _packed(lexicon, verb, endings=None):
-    """A stem's plan over `endings` (see _plan): its steps and its junctions' texts. A stuck
-    junction raises apply_rule's error on the first step that uses it, named by the step's
-    first class (_side); that is the first stuck step too, as steps take up slots in order."""
+    """A stem's plan over `endings` (see _plan): its steps and its junctions' texts; a stem
+    of syllables alone is the text of its identity junction, (None, ()). A stuck junction
+    raises apply_rule's error on the first step that uses it, named by the step's first class
+    (_side); that is the first stuck step too, as steps take up slots in order."""
     verb_entry = lexicon.verbs.get(verb)
     if verb_entry is None:
         raise NotFound(verb)
     junctions, steps = _plan(lexicon, verb_entry.class_ids, endings)
     letters = hangul_codec.decompose(verb)
+    whole = "\uac00" <= min(verb)  # syllables alone: compatibility jamo sort below U+AC00
     try:
-        return steps, [hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
+        return steps, [verb if whole and stop is None and not head else
+                       hangul_codec.compose(letters[:stop] + head) for stop, head in junctions]
     except Uncomposable as err:
         stuck = err  # raised outside this block, so no context is kept
     for slot, rest, ending, ending_class, ((verb_class, rule), *_), _ in steps:
@@ -165,7 +169,7 @@ def _entries(lexicon, verb, endings=None):
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    return Paradigm(verb=verb, entries=tuple(_entries(lexicon, verb)))
+    return Paradigm(verb, tuple(_entries(lexicon, verb)))
 
 
 def conjugate_pair(lexicon, verb, ending):

@@ -53,6 +53,12 @@ CONSONANTS = frozenset(ONSETS)
 VOWEL_SET = frozenset(VOWELS)
 LETTERS = CONSONANTS | VOWEL_SET
 
+# decompose's tables: a syllable's (onset, vowel) by rel // 28 and its final's letters by
+# rel % 28 (rel = code - SYLLABLE_BASE), and the letters of each lone compatibility jamo.
+_PAIRS = tuple((onset, vowel) for onset in ONSETS for vowel in VOWELS)
+_FINAL_LETTERS = tuple(CLUSTER_FINALS.get(final, (final,)) if final else () for final in FINALS)
+_LONE = {**{letter: (letter,) for letter in LETTERS}, **CLUSTER_FINALS}
+
 _ONSET_INDEX = {c: i for i, c in enumerate(ONSETS)}
 _VOWEL_INDEX = {v: i for i, v in enumerate(VOWELS)}
 _FINAL_INDEX = {c: i for i, c in enumerate(FINALS) if c}
@@ -78,18 +84,12 @@ def decompose(text):
     """
     letters = []
     for pos, ch in enumerate(text):
-        code = ord(ch)
-        if SYLLABLE_BASE <= code <= SYLLABLE_LAST:
-            rel = code - SYLLABLE_BASE
-            letters.append(ONSETS[rel // 588])
-            letters.append(VOWELS[rel % 588 // 28])
-            final = FINALS[rel % 28]
-            if final:
-                letters.extend(CLUSTER_FINALS.get(final, (final,)))
-        elif ch in CLUSTER_FINALS:
-            letters.extend(CLUSTER_FINALS[ch])
-        elif ch in LETTERS:
-            letters.append(ch)
+        rel = ord(ch) - SYLLABLE_BASE
+        if 0 <= rel <= SYLLABLE_LAST - SYLLABLE_BASE:
+            letters += _PAIRS[rel // 28]
+            letters += _FINAL_LETTERS[rel % 28]
+        elif ch in _LONE:
+            letters += _LONE[ch]
         else:
             raise NonHangulInput(ch, pos)
     return tuple(letters)

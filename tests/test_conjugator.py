@@ -516,6 +516,21 @@ def test_a_pair_names_its_own_step_when_another_ending_first_uses_its_junction()
                         stuck(lex, "ㄱ", [EndingEntry(ending, 1)]))
 
 
+def test_a_stem_with_a_lone_jamo_packs_its_identity_junction():
+    # A stem of syllables alone is the text of its identity junction, which keeps every
+    # letter and adds none. A stem holding a lone jamo is packed as any junction is:
+    # 가ㅅ + 고 gives 갓고, and ㄴ가 + 고 gets stuck as apply_rule does.
+    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry(s, (1,)) for s in ("가ㅅ", "ㄴ가")],
+                  Template({(1, 1): IDENTITY_RULE}))
+    [(_, (form,))] = cj.conjugate(lex, "가ㅅ").entries
+    assert form.text == cj.apply_rule(decompose("가ㅅ"), decompose("고"), IDENTITY_RULE) == "갓고"
+    assert [f.text for f in cj.conjugate_pair(lex, "가ㅅ", "고")] == ["갓고"]
+    assert [text for text, _ in build_index(lex, verbs=("가ㅅ",)).items()] == ["갓고"]
+    for call in (lambda: cj.conjugate(lex, "ㄴ가"), lambda: cj.conjugate_pair(lex, "ㄴ가", "고"),
+                 lambda: build_index(lex, verbs=("ㄴ가",))):
+        assert_fails_as(call, stuck(lex, "ㄴ가", lex.endings))
+
+
 # Ending sides that share heads across endings (고 and 다 cut before their
 # first letter, ㄴ다 and ㄴ가 after ㄴ, ㅏ다 after ㅏ), and some that get stuck
 # (다ㅏ, whose letters from 다 cannot pack, or a postfix vowel after the stem's
@@ -588,6 +603,27 @@ def test_every_plan_shares_each_ending_side(monkeypatch):
     sides = {(rule.postfix, rule.ending_start, ending) for _, steps in plans
              for _, _, ending, _, provenance, _ in steps for _, rule in provenance}
     assert len(calls) == len(sides)
+
+
+def test_a_warm_lexicon_packs_every_junction_but_the_identity_one(monkeypatch):
+    # Each shipped plan holds one identity junction (no verb stop, no head), whose text is
+    # the stem itself: with every plan and ending side compiled, build_index packs 166 of
+    # the 261 junctions, conjugate(그렇) 4 of its 5 and a pair of 그렇 none, each through
+    # the module's compose.
+    lex = load_lexicon(*shipped_paths())
+    build_index(lex)
+    plans = [cj._plan(lex, v.class_ids)[0] for v in lex.verbs.values()]
+    assert (sum(map(len, plans)), sum(plan.count((None, ())) for plan in plans)) == (261, 95)
+    calls, original = [], hangul_codec.compose
+    monkeypatch.setattr(hangul_codec, "compose", lambda seq: calls.append(seq) or original(seq))
+    counts = []
+    for call in (lambda: build_index(lex), lambda: cj.conjugate(lex, "그렇"),
+                 lambda: cj.conjugate_pair(lex, "그렇", "고")):
+        calls.clear()
+        call()
+        counts.append(len(calls))
+    assert counts == [166, 4, 0]
+    assert len(cj._plan(lex, lex.verbs["그렇"].class_ids)[0]) == 5
 
 
 def test_the_shipped_plans_merge_coinciding_steps():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +124,26 @@ def test_codec_matches_the_unicode_character_database():
         assert hc.decompose(char) == letters
         with pytest.raises(Uncomposable):  # a lone jamo is no syllable
             hc.compose(letters)
+
+
+def test_a_long_text_round_trips_in_linear_time():
+    # The syllable check above covers 11,172 syllables, too few for a quadratic cost to show.
+    # Half a million take about a second both ways. They run in a fresh interpreter, where
+    # this is compose's first call, as in a one-shot process: there CPython 3.11 has not yet
+    # specialized compose's loop, so a compose that grows its text with `out += chr(code)`
+    # copies the text for every syllable and takes over ten seconds.
+    script = ("import random, time\n"
+              "from koverbs import hangul_codec as hc\n"
+              "codes = random.Random(0).choices(range(0xAC00, 0xD7A4), k=500_000)\n"
+              "text = ''.join(map(chr, codes))\n"
+              "start = time.perf_counter()\n"
+              "assert hc.compose(hc.decompose(text)) == text\n"
+              "print(time.perf_counter() - start)\n")
+    found = [str(Path(hc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, found)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert float(done.stdout) < 6
 
 
 @given(syllables)
