@@ -10,9 +10,9 @@ the step's pre-packed rest (_side). The plan is one flat list of steps, read who
 _entries (the forms of conjugate and conjugate_pair) and by build_index. A junction that
 cannot pack raises apply_rule's error on the first step that uses it, by _side's cut; no
 slice reaches past its letters, as a Lexicon checks every entry against its classes' deepest
-slice. SurfaceForm's and LemmaCandidate's __init__ fill __dict__, not object.__setattr__ per
-field, yet both compare, hash, repr and replace as frozen dataclasses, and LemmaCandidate
-orders as one.
+slice. Forms, paradigms and candidates are filled in place (object.__new__, then __dict__)
+as SurfaceForm's and LemmaCandidate's __init__ fill it for a caller; each compares, hashes,
+reprs and replaces as a frozen dataclass, and LemmaCandidate orders as one.
 """
 
 from dataclasses import dataclass
@@ -147,29 +147,40 @@ def _packed(lexicon, verb, endings=None):
 
 def _entries(lexicon, verb, endings=None):
     """[(EndingEntry, (SurfaceForm, ...)), ...] for a stem's plan over `endings` (see _plan),
-    one form per step; a later step whose text an earlier step of its ending made merges
-    into that form, its classes back in the stem's order."""
+    one form per step, filled in place; a later step scans its ending's forms and takes the
+    place of one with its text, their classes merged back in the stem's order."""
     steps, texts = _packed(lexicon, verb, endings)
-    entries = []
+    entries, new = [], object.__new__
     for slot, rest, ending, ending_class, provenance, entry in steps:
-        text = texts[slot] + rest
+        form = new(SurfaceForm)
+        d = form.__dict__  # the five stores of SurfaceForm.__init__, without the class call
+        d["text"] = text = texts[slot] + rest
+        d["verb"] = verb
+        d["ending"] = ending
+        d["ending_class"] = ending_class
+        d["provenance"] = provenance
         if entry is not None:  # nearly every ending: one step, one form
-            entries.append((entry, (SurfaceForm(text, verb, ending, ending_class, provenance),)))
+            entries.append((entry, (form,)))
             continue
         first, forms = entries[-1]
-        made = [form.text for form in forms]
-        at = made.index(text) if text in made else len(forms)
-        if at < len(forms):  # distinct steps, one text: classes back in the stem's order
-            provenance = tuple(sorted(forms[at].provenance + provenance,
-                                      key=lambda p: lexicon.verbs[verb].class_ids.index(p[0])))
-        form = SurfaceForm(text, verb, ending, ending_class, provenance)
-        entries[-1] = first, forms[:at] + (form,) + forms[at + 1:]  # a merged form keeps its place
+        for at, made in enumerate(forms):
+            if made.text == text:  # distinct steps, one text: a merged form keeps its place
+                order = lexicon.verbs[verb].class_ids.index
+                d["provenance"] = tuple(sorted(made.provenance + provenance,
+                                               key=lambda p: order(p[0])))
+                entries[-1] = first, forms[:at] + (form,) + forms[at + 1:]
+                break
+        else:
+            entries[-1] = first, forms + (form,)
     return entries
 
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    return Paradigm(verb, tuple(_entries(lexicon, verb)))
+    paradigm = object.__new__(Paradigm)  # filled in place: Paradigm.__init__'s two stores
+    d = paradigm.__dict__
+    d["verb"], d["entries"] = verb, tuple(_entries(lexicon, verb))
+    return paradigm
 
 
 def conjugate_pair(lexicon, verb, ending):

@@ -61,6 +61,7 @@ def build_index(lexicon, verbs=None):
             raise NotFound(verb)
     index, built = {}, FormIndex.__new__(FormIndex)  # filled in place: FormIndex() copies
     built._index, built.scope = index, scope
+    new = object.__new__  # each candidate too, with the four stores of LemmaCandidate.__init__
     enabled = gc.isenabled()
     gc.disable()  # the index holds no reference cycles: collecting while it grows finds nothing
     try:
@@ -69,7 +70,12 @@ def build_index(lexicon, verbs=None):
             for slot, rest, ending, ending_class, provenance, _ in steps:
                 text = texts[slot] + rest
                 for verb_class, _ in provenance:
-                    found = LemmaCandidate(verb, ending, verb_class, ending_class)
+                    found = new(LemmaCandidate)
+                    d = found.__dict__
+                    d["verb"] = verb
+                    d["ending"] = ending
+                    d["verb_class"] = verb_class
+                    d["ending_class"] = ending_class
                     known = index.setdefault(text, found)
                     if known is not found:  # a text made twice: its candidates merged, sorted
                         index[text] = tuple(sorted(

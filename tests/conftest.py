@@ -33,15 +33,16 @@ def expectations(data_dir):
 
 
 def assert_acts_as_frozen_dataclass(cls, records, order=False):
-    """Check that records of `cls`, whose __init__ is hand-written, act as a plain
-    frozen dataclass with the same fields (its twin) does: equality, hash, order,
-    repr, replace, astuple, pickling and refused assignment."""
+    """Check that records of `cls`, which the package fills in place or builds with a
+    hand-written __init__, act as a plain frozen dataclass with the same fields (its
+    twin) does: equality, hash, order, repr, replace, astuple, pickling and refused
+    assignment."""
     names = [f.name for f in dataclasses.fields(cls)]
     # A field added later must be an __init__ parameter too, in field order.
     assert list(inspect.signature(cls.__init__).parameters)[1:] == names
     twin_cls = dataclasses.make_dataclass(cls.__name__, names, frozen=True, order=order)
     values = [[getattr(record, name) for name in names] for record in records]
-    # Equal but distinct instances, built by keyword (the package builds by position).
+    # Equal but distinct instances, built by keyword through __init__.
     records = [*records, *(cls(**dict(zip(names, v))) for v in values)]
     twins = [twin_cls(*v) for v in values] * 2
     for record, twin in zip(records, twins):

@@ -329,11 +329,27 @@ def test_a_run_of_stems_over_many_tails_indexes_as_the_oracle_does():
 
 
 def test_surface_form_acts_as_a_frozen_dataclass(lexicon):
-    # 모르 has two classes, so some of its forms hold merged provenance.
-    forms = [form for verb in ("그렇", "모르", "가") for _, entry_forms in
+    # The package fills its records in place, not through __init__. 모르 has two
+    # classes, so some of its forms hold merged provenance; 굽's later steps build
+    # their forms in an ending's scan. 갈 in classes (1, 3, 2) merges a later step
+    # into its ending's first form at run time: 갈고, classes [1, 2].
+    forms = [form for verb in ("그렇", "모르", "가", "굽") for _, entry_forms in
              cj.conjugate(lexicon, verb).entries for form in entry_forms]
     assert any(len(form.provenance) > 1 for form in forms)
-    assert_acts_as_frozen_dataclass(cj.SurfaceForm, forms)
+    assert {"굽어", "구워"} <= {form.text for form in forms}
+    template = Template({(1, 1): IDENTITY_RULE, (2, 1): Rule(-1, ("ㄹ",), None),
+                         (3, 1): Rule(-1, (), None)})
+    lex = Lexicon([EndingEntry("고", 1)], [VerbEntry("갈", (1, 3, 2))], template)
+    (_, merged), = cj.conjugate(lex, "갈").entries
+    assert (merged[0].text, [c for c, _ in merged[0].provenance]) == ("갈고", [1, 2])
+    assert_acts_as_frozen_dataclass(cj.SurfaceForm, forms + list(merged))
+
+
+def test_paradigm_acts_as_a_frozen_dataclass(lexicon):
+    # conjugate fills each Paradigm in place; its generated __init__ stays for
+    # callers. 그렇 has five junctions, 굽 and 이르 later steps.
+    paradigms = [cj.conjugate(lexicon, verb) for verb in ("그렇", "굽", "이르")]
+    assert_acts_as_frozen_dataclass(cj.Paradigm, paradigms)
 
 
 # ---------------------------------------------------------------- oracle spots

@@ -90,6 +90,10 @@ def test_lemma_candidate_acts_as_an_ordered_frozen_dataclass(index):
     built = [lm.LemmaCandidate("가", "아", 29, 15), lm.LemmaCandidate("가", "아", 29, 3),
              lm.LemmaCandidate("가", "아", 30, 15), lm.LemmaCandidate("가", "어", 29, 15),
              lm.LemmaCandidate("갈", "아", 29, 15)]
+    # build_index fills its candidates in place: 그래야's is stored bare, 가's in a
+    # merged tuple.
+    assert type(index._index["그래야"]) is lm.LemmaCandidate
+    assert type(index._index["가"]) is tuple
     found = [c for form in ("가", "물어", "몰라", "그래야") for c in lm.lemmatize(index, form)]
     assert_acts_as_frozen_dataclass(lm.LemmaCandidate, built + found, order=True)
 
