@@ -10,9 +10,9 @@ the step's pre-packed rest (_side). The plan is one flat list of steps, read who
 _entries (the forms of conjugate and conjugate_pair) and by build_index. A junction that
 cannot pack raises apply_rule's error on the first step that uses it, by _side's cut; no
 slice reaches past its letters, as a Lexicon checks every entry against its classes' deepest
-slice. Forms, paradigms and candidates are filled in place (object.__new__, then __dict__)
-as SurfaceForm's and LemmaCandidate's __init__ fill it for a caller; each compares, hashes,
-reprs and replaces as a frozen dataclass, and LemmaCandidate orders as one.
+slice. The package fills its forms, paradigms and candidates in place (object.__new__, then
+__dict__), without a frozen __init__'s object.__setattr__ per field; callers build them by
+keyword through the generated __init__, and both give the same frozen dataclass record.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from . import hangul_codec, ruleset
 from .errors import IndexOutOfBounds, NotFound, Uncomposable
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SurfaceForm:
     text: str
     verb: str
@@ -30,14 +30,6 @@ class SurfaceForm:
     # Every (verb class, rule) pair that produced this text, in class order.
     # Distinct classes can yield the same text; those collapse to one form.
     provenance: tuple
-
-    def __init__(self, text, verb, ending, ending_class, provenance):
-        d = self.__dict__  # a frozen __init__ pays object.__setattr__ per field
-        d["text"] = text
-        d["verb"] = verb
-        d["ending"] = ending
-        d["ending_class"] = ending_class
-        d["provenance"] = provenance
 
     @property
     def verb_class(self):
@@ -153,7 +145,7 @@ def _entries(lexicon, verb, endings=None):
     entries, new = [], object.__new__
     for slot, rest, ending, ending_class, provenance, entry in steps:
         form = new(SurfaceForm)
-        d = form.__dict__  # the five stores of SurfaceForm.__init__, without the class call
+        d = form.__dict__  # its five fields, without the class call or object.__setattr__
         d["text"] = text = texts[slot] + rest
         d["verb"] = verb
         d["ending"] = ending
@@ -177,7 +169,7 @@ def _entries(lexicon, verb, endings=None):
 
 def conjugate(lexicon, verb):
     """Generate the full paradigm of one stem."""
-    paradigm = object.__new__(Paradigm)  # filled in place: Paradigm.__init__'s two stores
+    paradigm = object.__new__(Paradigm)  # in place: a frozen __init__ pays object.__setattr__
     d = paradigm.__dict__
     d["verb"], d["entries"] = verb, tuple(_entries(lexicon, verb))
     return paradigm

@@ -14,19 +14,12 @@ from . import conjugator
 from .errors import NotFound
 
 
-@dataclass(frozen=True, order=True, init=False)
+@dataclass(frozen=True, order=True)
 class LemmaCandidate:
     verb: str
     ending: str
     verb_class: int
     ending_class: int
-
-    def __init__(self, verb, ending, verb_class, ending_class):
-        d = self.__dict__  # a frozen __init__ pays object.__setattr__ per field
-        d["verb"] = verb
-        d["ending"] = ending
-        d["verb_class"] = verb_class
-        d["ending_class"] = ending_class
 
 
 class FormIndex:
@@ -61,7 +54,7 @@ def build_index(lexicon, verbs=None):
             raise NotFound(verb)
     index, built = {}, FormIndex.__new__(FormIndex)  # filled in place: FormIndex() copies
     built._index, built.scope = index, scope
-    new = object.__new__  # each candidate too, with the four stores of LemmaCandidate.__init__
+    new = object.__new__  # each candidate too, its four fields stored as _entries stores a form's
     enabled = gc.isenabled()
     gc.disable()  # the index holds no reference cycles: collecting while it grows finds nothing
     try:

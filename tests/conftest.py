@@ -33,9 +33,9 @@ def expectations(data_dir):
 
 
 def assert_acts_as_frozen_dataclass(cls, records, order=False):
-    """Check that records of `cls`, which the package fills in place or builds with a
-    hand-written __init__, act as a plain frozen dataclass with the same fields (its
-    twin) does: equality, hash, order, repr, replace, astuple, pickling and refused
+    """Check that records of `cls`, which the package fills in place rather than
+    through __init__, act as a plain frozen dataclass with the same fields (its twin)
+    does: equality, hash, order, repr, replace, astuple, pickling and refused
     assignment."""
     names = [f.name for f in dataclasses.fields(cls)]
     # A field added later must be an __init__ parameter too, in field order.
